@@ -360,13 +360,29 @@ func MinSNR(r Rate) float64 {
 	return hi
 }
 
+// pickRates is PickRate's private copy of the OFDM rate set, so that
+// a caller mutating the exported OFDMRates slice cannot desynchronise
+// it from pickThresholds.
+var pickRates = [...]Rate{Rate6, Rate9, Rate12, Rate18, Rate24, Rate36, Rate48, Rate54}
+
+// pickThresholds[i] is the SNR (dB) PickRate requires for pickRates[i]:
+// MinSNR plus a 3 dB margin. MinSNR is a per-rate constant, so its
+// 50-step bisection runs once here instead of on every PickRate call;
+// the values are bit-identical to evaluating MinSNR(r)+3 each time.
+var pickThresholds = func() (th [len(pickRates)]float64) {
+	for i, r := range pickRates {
+		th[i] = MinSNR(r) + 3
+	}
+	return th
+}()
+
 // PickRate selects the fastest OFDM rate whose 10% FER threshold the
-// SNR clears, falling back to 6 Mbps.
+// SNR clears with a 3 dB margin, falling back to 6 Mbps.
 func PickRate(snrDB float64) Rate {
 	best := Rate6
-	for _, r := range OFDMRates {
-		if snrDB >= MinSNR(r)+3 { // 3 dB margin
-			best = r
+	for i, th := range pickThresholds {
+		if snrDB >= th {
+			best = pickRates[i]
 		}
 	}
 	return best

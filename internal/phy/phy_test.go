@@ -237,6 +237,49 @@ func TestPickRate(t *testing.T) {
 	}
 }
 
+// pickRateLoop is PickRate as it was before the threshold table: the
+// MinSNR bisection re-run for every rate on every call.
+func pickRateLoop(snrDB float64) Rate {
+	best := Rate6
+	for _, r := range OFDMRates {
+		if snrDB >= MinSNR(r)+3 {
+			best = r
+		}
+	}
+	return best
+}
+
+// TestPickRateTableExact pins the rate table to the function it
+// caches: every threshold is bit-identical to MinSNR(r)+3, and
+// PickRate agrees with the uncached loop across the whole operating
+// SNR range and on both sides of every threshold.
+func TestPickRateTableExact(t *testing.T) {
+	if len(pickRates) != len(OFDMRates) {
+		t.Fatalf("rate table has %d rates, OFDMRates %d", len(pickRates), len(OFDMRates))
+	}
+	for i, r := range pickRates {
+		if r != OFDMRates[i] {
+			t.Fatalf("pickRates[%d] = %v, OFDMRates[%d] = %v", i, r, i, OFDMRates[i])
+		}
+		if want := MinSNR(r) + 3; math.Float64bits(pickThresholds[i]) != math.Float64bits(want) {
+			t.Fatalf("threshold for %v = %v, want MinSNR+3 = %v", r, pickThresholds[i], want)
+		}
+	}
+	check := func(snr float64) {
+		if got, want := PickRate(snr), pickRateLoop(snr); got != want {
+			t.Fatalf("PickRate(%v) = %v, uncached loop picks %v", snr, got, want)
+		}
+	}
+	for cdB := -1000; cdB <= 4500; cdB++ {
+		check(float64(cdB) / 100)
+	}
+	for _, th := range pickThresholds {
+		check(math.Nextafter(th, math.Inf(-1)))
+		check(th)
+		check(math.Nextafter(th, math.Inf(1)))
+	}
+}
+
 func TestSNRFromRSSI(t *testing.T) {
 	if got := SNRFromRSSI(-64); got != 30 {
 		t.Fatalf("SNRFromRSSI(-64) = %v, want 30", got)

@@ -407,11 +407,6 @@ type Config struct {
 	// ResumeTotals primes the stream's running totals when resuming
 	// (zero for a fresh drive).
 	ResumeTotals stream.Census
-	// Queue selects the event-queue implementation for every stop's
-	// scheduler. The zero value is the production timing wheel;
-	// QueueLegacyHeap exists so differential tests can replay a drive
-	// against the reference ordering.
-	Queue eventsim.QueueKind
 	// SchedStats, when true, adds wall-clock scheduler throughput
 	// instruments (sched.events_per_sec, sched.event_ns) to each
 	// stop's telemetry. Off by default: the values are host-dependent,
@@ -764,7 +759,7 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 		clientVendors: make(map[string]int),
 		apVendors:     make(map[string]int),
 	}
-	sched := eventsim.NewSchedulerQueue(cfg.Queue)
+	sched := eventsim.NewScheduler()
 	med := radio.NewMedium(sched, rng.Fork(), radio.Config{
 		PathLoss:        radio.LogDistance{Exponent: 2.7},
 		ShadowSigmaDB:   3,
