@@ -113,8 +113,9 @@ func (t *telemetryFlags) attach(sched *eventsim.Scheduler, medium *radio.Medium)
 	return t.reg
 }
 
-// flush writes the requested report and trace files.
-func (t *telemetryFlags) flush() {
+// flush writes the requested report and trace files and notes each
+// on out.
+func (t *telemetryFlags) flush(out io.Writer) {
 	if t.metricsPath != "" && t.reg != nil {
 		f, err := os.Create(t.metricsPath)
 		if err != nil {
@@ -129,7 +130,7 @@ func (t *telemetryFlags) flush() {
 			fmt.Fprintln(os.Stderr, "politewifi:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nwrote telemetry report (%d counters) to %s\n", len(rep.Counters), t.metricsPath)
+		fmt.Fprintf(out, "\nwrote telemetry report (%d counters) to %s\n", len(rep.Counters), t.metricsPath)
 	}
 	if t.tracePath != "" && t.tracer != nil {
 		f, err := os.Create(t.tracePath)
@@ -144,7 +145,7 @@ func (t *telemetryFlags) flush() {
 			fmt.Fprintln(os.Stderr, "politewifi:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d trace spans to %s (open in about:tracing or ui.perfetto.dev)\n",
+		fmt.Fprintf(out, "wrote %d trace spans to %s (open in about:tracing or ui.perfetto.dev)\n",
 			t.tracer.Len(), t.tracePath)
 	}
 }
@@ -240,11 +241,11 @@ func main() {
 }
 
 // cmdWardrive runs the §3 large-scale study with the stops sharded
-// across a worker pool (see internal/world and cmd/wardrive). The job
-// flags are the canonical internal/jobspec set, shared with
-// cmd/wardrive and the politewifid daemon. SIGINT/SIGTERM cancel the
-// drive cooperatively: in-flight stops finish, the stream ends with a
-// trailer record, and the partial census prints marked cancelled.
+// across a worker pool (see internal/world). The job flags are the
+// canonical internal/jobspec set, shared with the politewifid daemon.
+// SIGINT/SIGTERM cancel the drive cooperatively: in-flight stops
+// finish, the stream ends with a trailer record, and the partial
+// census prints marked cancelled.
 func cmdWardrive(args []string) {
 	fs := flag.NewFlagSet("wardrive", flag.ExitOnError)
 	spec := jobspec.Drive()
@@ -328,12 +329,13 @@ func cmdWardrive(args []string) {
 
 	r := experiments.Table2WithConfig(cfg)
 	signal.Stop(sigc)
+	// When the stream rides stdout, NDJSON owns it and every
+	// human-readable line moves to stderr.
+	out := io.Writer(os.Stdout)
 	if *streamPath == "-" {
-		// NDJSON owns stdout; the human-readable census moves aside.
-		fmt.Fprint(os.Stderr, r.Render())
-	} else {
-		fmt.Print(r.Render())
+		out = os.Stderr
 	}
+	fmt.Fprint(out, r.Render())
 	if cfg.Stream != nil {
 		if err := cfg.Stream.Err(); err != nil {
 			fmt.Fprintln(os.Stderr, "politewifi: stream:", err)
@@ -343,7 +345,7 @@ func cmdWardrive(args []string) {
 				fmt.Fprintln(os.Stderr, "politewifi:", err)
 				os.Exit(1)
 			}
-			fmt.Printf("\nstreamed %d flight-recorder records to %s\n", cfg.Stream.Count(), *streamPath)
+			fmt.Fprintf(out, "\nstreamed %d flight-recorder records to %s\n", cfg.Stream.Count(), *streamPath)
 		}
 	}
 	if recorder != nil {
@@ -355,10 +357,10 @@ func cmdWardrive(args []string) {
 			fmt.Fprintln(os.Stderr, "politewifi:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nrecorded %d frame-log records to %s (replay with: politewifi replay %s)\n",
+		fmt.Fprintf(out, "\nrecorded %d frame-log records to %s (replay with: politewifi replay %s)\n",
 			recorder.Records(), *recordPath, *recordPath)
 	}
-	tf.flush()
+	tf.flush(out)
 	if r.Run.Cancelled {
 		fmt.Fprintf(os.Stderr, "politewifi: \"cancelled\": true — partial census covers %d of %d stops\n",
 			r.Run.StopsDone, r.Run.Stops)
@@ -633,7 +635,7 @@ func cmdProbe(args []string) {
 	fmt.Printf("probed %s (%s): %d/%d responses, responded=%v, first gap %.1f µs\n\n",
 		victimAddr, res.Mode, res.Responses, res.Sent, res.Responded, res.FirstGap.Micros())
 	fmt.Print(cap.Table(victimAddr, apAddr))
-	tf.flush()
+	tf.flush(os.Stdout)
 }
 
 func cmdScan(args []string) {
@@ -691,7 +693,7 @@ func cmdScan(args []string) {
 	fmt.Printf("\n%d devices (%d clients, %d APs); %d responded (%.0f%%)\n",
 		t.Total, t.Clients, t.APs, t.TotalResponded,
 		100*float64(t.TotalResponded)/float64(max(1, t.Total)))
-	tf.flush()
+	tf.flush(os.Stdout)
 }
 
 func cmdDrain(args []string) {
@@ -721,7 +723,7 @@ func cmdDrain(args []string) {
 	for _, b := range []power.Battery{power.LogitechCircle2, power.BlinkXT2} {
 		fmt.Printf("  %-28s would last %.1f h\n", b.String(), b.LifetimeHours(mw))
 	}
-	tf.flush()
+	tf.flush(os.Stdout)
 }
 
 func cmdSense(args []string) {
@@ -875,7 +877,7 @@ func cmdStats(args []string) {
 		fmt.Println()
 		fmt.Print(tf.tracer.Timeline())
 	}
-	tf.flush()
+	tf.flush(os.Stdout)
 }
 
 func max(a, b int) int {

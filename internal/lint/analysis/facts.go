@@ -1,44 +1,20 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 )
 
-// Fact is a serializable datum an analyzer attaches to a top-level
-// object (a function, usually) so that analyses of *importing*
-// packages can see what was learned about the object's package — the
-// same contract as golang.org/x/tools/go/analysis facts, sized down
-// to what politevet needs. Concrete fact types must be pointers,
-// gob-encodable, and registered with RegisterFact before any encode
-// or decode.
+// Fact is a datum an analyzer attaches to a top-level object (a
+// function, usually) so that analyses of *importing* packages can see
+// what was learned about the object's package — the same contract as
+// golang.org/x/tools/go/analysis facts, sized down to what politevet
+// needs. Facts live in memory for one driver run; concrete fact types
+// must be pointers.
 type Fact interface {
 	AFact() // marker method
-}
-
-var (
-	factTypesMu sync.Mutex
-	factTypes   = make(map[string]reflect.Type)
-)
-
-// RegisterFact registers a concrete fact type for gob transport.
-// Safe to call from init; duplicate registrations of the same type
-// are no-ops.
-func RegisterFact(f Fact) {
-	t := reflect.TypeOf(f)
-	factTypesMu.Lock()
-	defer factTypesMu.Unlock()
-	if _, ok := factTypes[t.String()]; ok {
-		return
-	}
-	factTypes[t.String()] = t
-	gob.Register(f)
 }
 
 // ObjectKey returns a stable, package-relative key for a top-level
@@ -145,73 +121,12 @@ func (s *FactSet) Len() int {
 	return len(s.m)
 }
 
-// factEntry is the wire form of one fact.
-type factEntry struct {
-	Object string
-	Fact   Fact
-}
-
-// Encode serializes the set as gob. Entries are sorted by (object,
-// fact type) so the byte stream is deterministic for identical sets —
-// the property the fact cache's content hashing and the certificate's
-// byte-stability rest on.
-func (s *FactSet) Encode() ([]byte, error) {
-	s.mu.Lock()
-	keys := make([]factKey, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].object != keys[j].object {
-			return keys[i].object < keys[j].object
-		}
-		return keys[i].typ < keys[j].typ
-	})
-	entries := make([]factEntry, 0, len(keys))
-	for _, k := range keys {
-		entries = append(entries, factEntry{Object: k.object, Fact: s.m[k]})
-	}
-	s.mu.Unlock()
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts of %s: %v", s.PkgPath, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFactSet reconstructs a fact set from Encode output. A nil or
-// empty payload decodes to an empty set — the shape the vettool
-// protocol writes for packages with no facts.
-func DecodeFactSet(pkgPath string, data []byte) (*FactSet, error) {
-	s := NewFactSet(pkgPath)
-	if len(data) == 0 {
-		return s, nil
-	}
-	var entries []factEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&entries); err != nil {
-		return nil, fmt.Errorf("analysis: decoding facts of %s: %v", pkgPath, err)
-	}
-	for _, e := range entries {
-		if e.Fact == nil {
-			continue
-		}
-		s.m[factKey{e.Object, reflect.TypeOf(e.Fact).String()}] = e.Fact
-	}
-	return s, nil
-}
-
 // Facts is one pass's view of the fact universe: the current
 // package's writable set plus the frozen sets of every analyzed
 // dependency, keyed by plain import path.
 type Facts struct {
 	Current  *FactSet
 	Imported map[string]*FactSet
-}
-
-// NewFacts builds a view for pkgPath over imported dependency sets.
-func NewFacts(pkgPath string, imported map[string]*FactSet) *Facts {
-	return &Facts{Current: NewFactSet(pkgPath), Imported: imported}
 }
 
 // lookupSet resolves the fact set holding facts for pkgPath, which

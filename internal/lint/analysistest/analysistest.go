@@ -44,30 +44,14 @@ func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 	RunAnalyzers(t, fixture, a)
 }
 
-// RunAnalyzers is Run with several analyzers over one single-package
-// fixture — findings from all of them check against the same want
-// comments. The purity fact pass always runs first (inside the
-// driver), so same-package transitive findings appear even here.
+// RunAnalyzers is Run with several analyzers over one fixture —
+// findings from all of them check against the same want comments. The
+// fixture runs through the full driver (RunPatterns), so the purity
+// fact pass always runs first and same-package transitive findings
+// appear even here.
 func RunAnalyzers(t *testing.T, fixture string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	pattern := "./testdata/src/" + fixture
-	pkgs, err := load.Packages("", false, pattern)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", pattern, err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s loaded %d packages, want 1", pattern, len(pkgs))
-	}
-	pkg := pkgs[0]
-	for _, terr := range pkg.TypeErrors {
-		t.Errorf("fixture %s: typecheck: %v", pattern, terr)
-	}
-
-	findings, err := lint.RunPackage(pkg, analyzers, nil)
-	if err != nil {
-		t.Fatalf("running on %s: %v", pattern, err)
-	}
-	check(t, []*load.Package{pkg}, findings)
+	RunPatterns(t, analyzers, "./testdata/src/"+fixture)
 }
 
 // RunPatterns runs the full interprocedural driver over explicit
@@ -75,13 +59,11 @@ func RunAnalyzers(t *testing.T, fixture string, analyzers ...*analysis.Analyzer)
 // `...` wildcards skip testdata directories) and checks findings in
 // every target package against its want comments. This is how the
 // cross-package taint fixtures run: facts propagate from leaf
-// packages into the targets exactly as in a real politevet run. The
-// fact cache is off — fixtures must never leak state between runs.
+// packages into the targets exactly as in a real politevet run.
 func RunPatterns(t *testing.T, analyzers []*analysis.Analyzer, patterns ...string) {
 	t.Helper()
 	res, err := lint.RunOpts(lint.Options{
 		Patterns:  patterns,
-		FactCache: "off",
 		Analyzers: analyzers,
 	})
 	if err != nil {

@@ -28,14 +28,14 @@ import (
 //
 // The output is a pure function of the analyzed source: packages
 // sort by import path, functions by object key, chains render
-// module-relative — so the bytes are identical across checkouts,
-// worker counts, and cache states.
+// module-relative — so the bytes are identical across checkouts and
+// worker counts.
 func Certify(opts Options) (string, error) {
 	g, err := load.Load(load.Config{Dir: opts.Dir, Workers: opts.Workers}, opts.Patterns...)
 	if err != nil {
 		return "", err
 	}
-	factSets, err := factPhase(g, opts.FactCache)
+	factSets, err := factPhase(g)
 	if err != nil {
 		return "", err
 	}

@@ -1,9 +1,6 @@
 package lint_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -21,11 +18,7 @@ var certPatterns = []string{
 
 func certify(t *testing.T, workers int) string {
 	t.Helper()
-	out, err := lint.Certify(lint.Options{
-		Patterns:  certPatterns,
-		Workers:   workers,
-		FactCache: "off",
-	})
+	out, err := lint.Certify(lint.Options{Patterns: certPatterns, Workers: workers})
 	if err != nil {
 		t.Fatalf("certify (workers=%d): %v", workers, err)
 	}
@@ -56,52 +49,5 @@ func TestCertifyByteStable(t *testing.T) {
 	}
 	if !strings.Contains(base, "— pure") {
 		t.Errorf("certificate certifies nothing as pure")
-	}
-}
-
-// TestFactCacheWarm runs the driver twice against the same cache
-// directory over the cross-package taint fixture — packages with
-// known, non-empty findings — and requires the warm run to reproduce
-// the cold run exactly. A cache that changed results would be worse
-// than no cache.
-func TestFactCacheWarm(t *testing.T) {
-	dir := t.TempDir()
-	taint := []string{
-		"politewifi/internal/lint/purity/testdata/src/taint/leaf",
-		"politewifi/internal/lint/purity/testdata/src/taint/mid",
-		"politewifi/internal/lint/purity/testdata/src/taint/world",
-	}
-	run := func(label string) string {
-		res, err := lint.RunOpts(lint.Options{
-			Patterns:  taint,
-			FactCache: dir,
-		})
-		if err != nil {
-			t.Fatalf("%s run: %v", label, err)
-		}
-		var b strings.Builder
-		for _, f := range res.Findings {
-			fmt.Fprintln(&b, f)
-		}
-		return b.String()
-	}
-
-	cold := run("cold")
-	if cold == "" {
-		t.Fatalf("taint fixture produced no findings; the cache test needs real output to compare")
-	}
-	entries := 0
-	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".facts") {
-			entries++
-		}
-		return nil
-	})
-	if entries == 0 {
-		t.Fatalf("cold run populated no fact-cache entries in %s", dir)
-	}
-
-	if warm := run("warm"); warm != cold {
-		t.Errorf("warm-cache findings differ from cold run:\ncold:\n%s\nwarm:\n%s", cold, warm)
 	}
 }

@@ -8,15 +8,14 @@
 // its stop — so the invariants live in CI instead of in reviewers'
 // heads. See DESIGN.md §5e and §5j.
 //
-// Since the interprocedural upgrade the driver runs in two phases.
-// Phase A walks every in-module package in dependency order and runs
-// the purity fact pass (internal/lint/purity) over each, producing a
-// frozen per-package fact set; sets are content-addressed in a fact
-// cache, so unchanged subtrees cost one hash check. Phase B runs the
-// user-facing analyzers over the target units (test variants
-// included) in parallel, with the full fact universe attached to
-// each pass — which is what lets wallclock report `world.Run →
-// rt.poll → time.Now` instead of only direct calls.
+// The driver runs in two phases. Phase A walks every in-module
+// package in dependency order and runs the purity fact pass
+// (internal/lint/purity) over each, producing a frozen per-package
+// fact set held in memory; facts are recomputed from source on every
+// run. Phase B runs the user-facing analyzers over the target units
+// (test variants included) in parallel, with the full fact universe
+// attached to each pass — which is what lets wallclock report
+// `world.Run → rt.poll → time.Now` instead of only direct calls.
 package lint
 
 import (
@@ -68,10 +67,10 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s [%s]", f.Pos, f.Message, f.Analyzer)
 }
 
-// ComputeFacts runs the purity pass over one type-checked package and
+// computeFacts runs the purity pass over one type-checked package and
 // returns its frozen fact set. imported supplies the frozen sets of
 // already-analyzed dependencies, keyed by plain import path.
-func ComputeFacts(pkg *load.Package, imported map[string]*analysis.FactSet) (*analysis.FactSet, error) {
+func computeFacts(pkg *load.Package, imported map[string]*analysis.FactSet) (*analysis.FactSet, error) {
 	facts := &analysis.Facts{
 		Current:  analysis.NewFactSet(analysis.TrimTestVariant(pkg.ImportPath)),
 		Imported: imported,
@@ -92,13 +91,13 @@ func ComputeFacts(pkg *load.Package, imported map[string]*analysis.FactSet) (*an
 	return facts.Current, nil
 }
 
-// RunPackage applies the analyzers to one package, filters findings
+// runPackage applies the analyzers to one package, filters findings
 // through valid //politevet:allow directives, and appends directive
 // grammar violations and stale-directive findings. The purity fact
-// pass always runs first so same-package transitive checks work even
-// without a dependency fact universe; pass imported dependency sets
-// (or nil) via facts. Findings come back sorted by position.
-func RunPackage(pkg *load.Package, analyzers []*analysis.Analyzer, imported map[string]*analysis.FactSet) ([]Finding, error) {
+// pass runs over the unit itself first, so same-package callees —
+// test files included — have facts; imported holds the dependencies'
+// frozen sets. Findings come back sorted by position.
+func runPackage(pkg *load.Package, analyzers []*analysis.Analyzer, imported map[string]*analysis.FactSet) ([]Finding, error) {
 	supp := analysis.NewSuppressor(pkg.Fset, pkg.Files)
 	// Directives may name any registered analyzer, including ones the
 	// caller disabled for this run.
@@ -119,10 +118,7 @@ func RunPackage(pkg *load.Package, analyzers []*analysis.Analyzer, imported map[
 
 	facts := &analysis.Facts{
 		Current:  analysis.NewFactSet(analysis.TrimTestVariant(pkg.ImportPath)),
-		Imported: nil,
-	}
-	if imported != nil {
-		facts.Imported = imported
+		Imported: imported,
 	}
 
 	var findings []Finding
@@ -228,9 +224,6 @@ type Options struct {
 	// Workers bounds parallel type-checking and target analysis
 	// (0 = GOMAXPROCS).
 	Workers int
-	// FactCache is the cache directory spec: "" for the per-user
-	// default, "off" to disable.
-	FactCache string
 	// Analyzers is the user-facing set to run (nil = all).
 	Analyzers []*analysis.Analyzer
 }
@@ -257,7 +250,7 @@ func RunOpts(opts Options) (*Result, error) {
 		analyzers = Analyzers()
 	}
 
-	factSets, err := factPhase(g, opts.FactCache)
+	factSets, err := factPhase(g)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +276,7 @@ func RunOpts(opts Options) (*Result, error) {
 				results[i] = targetResult{err: err}
 				return
 			}
-			fs, err := RunPackage(pkg, analyzers, factSets)
+			fs, err := runPackage(pkg, analyzers, factSets)
 			results[i] = targetResult{findings: fs, err: err}
 		}(i, target)
 	}
@@ -300,57 +293,29 @@ func RunOpts(opts Options) (*Result, error) {
 	return &Result{Findings: all, FactSets: factSets, Graph: g}, nil
 }
 
-// factPhase computes (or loads from cache) the fact set of every
-// in-module package, dependencies first.
-func factPhase(g *load.Graph, cacheSpec string) (map[string]*analysis.FactSet, error) {
-	cache := openFactCache(cacheSpec)
+// factPhase computes the fact set of every in-module package,
+// dependencies first. Type-checking runs in parallel up front; the
+// (cheap) fact pass then runs sequentially in dependency order so
+// every pass sees its dependencies' completed sets.
+func factPhase(g *load.Graph) (map[string]*analysis.FactSet, error) {
 	factSets := make(map[string]*analysis.FactSet, len(g.Order))
-	keys := make(map[string]string, len(g.Order))
-	var misses []string
+	g.Prefetch(g.Order)
 	for _, path := range g.Order {
-		key, err := factKey(g.Units[path], path, g.ModuleDeps[path], keys)
-		if err != nil {
-			return nil, fmt.Errorf("lint: hashing %s: %v", path, err)
-		}
-		keys[path] = key
-		if data, ok := cache.get(key); ok {
-			fs, err := analysis.DecodeFactSet(path, data)
-			if err == nil {
-				fs.Freeze()
-				factSets[path] = fs
-				continue
-			}
-			// A corrupt or version-skewed entry is a miss, not an error.
-		}
-		misses = append(misses, path)
-	}
-
-	// Cache misses need type-checking; do that in parallel up front,
-	// then run the (cheap) fact pass sequentially in dependency order
-	// so every pass sees its dependencies' completed sets.
-	g.Prefetch(misses)
-	for _, path := range g.Order {
-		if factSets[path] != nil {
-			continue
-		}
 		pkg, err := g.Package(path)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %s: %v", path, err)
 		}
-		fs, err := ComputeFacts(pkg, factSets)
+		fs, err := computeFacts(pkg, factSets)
 		if err != nil {
 			return nil, err
 		}
 		factSets[path] = fs
-		if data, err := fs.Encode(); err == nil {
-			cache.put(keys[path], data)
-		}
 	}
 	return factSets, nil
 }
 
 // Run loads the packages matching patterns (tests included) and runs
-// the full analyzer set over each with the default fact cache.
+// the full analyzer set over each.
 func Run(dir string, patterns ...string) ([]Finding, error) {
 	res, err := RunOpts(Options{Dir: dir, Patterns: patterns, Tests: true})
 	if err != nil {

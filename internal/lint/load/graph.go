@@ -2,13 +2,9 @@ package load
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -31,21 +27,18 @@ type Config struct {
 // before running diagnostics. Type-checking is lazy and memoized;
 // Prefetch checks a batch in parallel.
 type Graph struct {
-	ModuleDir  string
-	ModulePath string
-
 	// Targets are the unit keys to run diagnostics on (test variants
 	// when Tests is set), in deterministic order.
 	Targets []string
 	// Order lists the plain in-module packages needing facts —
 	// dependencies before dependents.
 	Order []string
-	// Units maps every unit key (targets and fact packages) to its
+	// units maps every unit key (targets and fact packages) to its
 	// load unit.
-	Units map[string]*Unit
-	// ModuleDeps maps a unit key to its direct in-module dependencies
+	units map[string]*unit
+	// moduleDeps maps a unit key to its direct in-module dependencies
 	// (plain paths, sorted) — the edges facts propagate across.
-	ModuleDeps map[string][]string
+	moduleDeps map[string][]string
 
 	workers int
 	mu      sync.Mutex
@@ -63,7 +56,7 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("load: no patterns")
 	}
-	modDir, modPath, err := moduleInfo(cfg.Dir)
+	modPath, err := modulePath(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -114,10 +107,8 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	g := &Graph{
-		ModuleDir:  modDir,
-		ModulePath: modPath,
-		Units:      make(map[string]*Unit),
-		ModuleDeps: make(map[string][]string),
+		units:      make(map[string]*unit),
+		moduleDeps: make(map[string][]string),
 		workers:    workers,
 		checked:    make(map[string]*checkEntry),
 	}
@@ -128,7 +119,7 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 	}
 
 	addUnit := func(p *listPackage) {
-		g.Units[p.ImportPath] = &Unit{
+		g.units[p.ImportPath] = &unit{
 			ImportPath:  p.ImportPath,
 			Dir:         p.Dir,
 			GoFiles:     p.GoFiles,
@@ -145,7 +136,7 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 				deps[imp] = true
 			}
 		}
-		g.ModuleDeps[p.ImportPath] = sortedKeys(deps)
+		g.moduleDeps[p.ImportPath] = sortedKeys(deps)
 	}
 
 	for _, p := range all {
@@ -163,7 +154,7 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 		// Every plain in-module package — target or dependency — joins
 		// the fact universe.
 		if p.ForTest == "" && inModule(p.ImportPath) && len(p.GoFiles) > 0 {
-			if _, seen := g.Units[p.ImportPath]; !seen {
+			if _, seen := g.units[p.ImportPath]; !seen {
 				if p.Error != nil {
 					return nil, fmt.Errorf("load: %s: %s", p.ImportPath, p.Error.Err)
 				}
@@ -173,7 +164,7 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 		}
 	}
 	sort.Strings(g.Targets)
-	g.Order = topoSort(g.Order, g.ModuleDeps)
+	g.Order = topoSort(g.Order, g.moduleDeps)
 	return g, nil
 }
 
@@ -245,12 +236,12 @@ func (g *Graph) Package(key string) (*Package, error) {
 		e = &checkEntry{}
 		g.checked[key] = e
 	}
-	u := g.Units[key]
+	u := g.units[key]
 	g.mu.Unlock()
 	if u == nil {
 		return nil, fmt.Errorf("load: no unit %q", key)
 	}
-	e.once.Do(func() { e.pkg, e.err = Check(*u) })
+	e.once.Do(func() { e.pkg, e.err = check(*u) })
 	return e.pkg, e.err
 }
 
@@ -275,32 +266,18 @@ func (g *Graph) Prefetch(keys []string) {
 // Workers reports the configured concurrency bound.
 func (g *Graph) Workers() int { return g.workers }
 
-// FileHash returns the hex SHA-256 of one of the unit's source files,
-// for fact-cache keying.
-func (u *Unit) FileHash(name string) (string, error) {
-	if !filepath.IsAbs(name) {
-		name = filepath.Join(u.Dir, name)
-	}
-	data, err := os.ReadFile(name)
+// modulePath resolves the enclosing module's path.
+func modulePath(dir string) (string, error) {
+	out, err := runGo(dir, "list", "-m", "-json")
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// moduleInfo resolves the enclosing module's root directory and path.
-func moduleInfo(dir string) (modDir, modPath string, err error) {
-	out, err := runGo(dir, "list", "-m", "-json")
-	if err != nil {
-		return "", "", err
-	}
-	var m struct{ Path, Dir string }
+	var m struct{ Path string }
 	if err := json.Unmarshal(out, &m); err != nil {
-		return "", "", fmt.Errorf("load: decoding go list -m output: %v", err)
+		return "", fmt.Errorf("load: decoding go list -m output: %v", err)
 	}
 	if m.Path == "" {
-		return "", "", fmt.Errorf("load: not in a module")
+		return "", fmt.Errorf("load: not in a module")
 	}
-	return m.Dir, m.Path, nil
+	return m.Path, nil
 }

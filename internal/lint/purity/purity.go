@@ -2,7 +2,7 @@
 // computes, for every function in a package, a purity signature —
 // wallclock-tainted, globalrand-tainted, arena-escaping parameters,
 // sleep-spinning loops, yield capability, and clamp bounds — and
-// exports it as a serializable per-object fact (DESIGN.md §5j).
+// exports it as an in-memory per-object fact (DESIGN.md §5j).
 // Downstream analyzers (wallclock, globalrand, simsleep, bufreuse,
 // durwrap) import these facts for their callees, which upgrades them
 // from "direct call" to "transitively reachable" checks: a helper in
@@ -98,8 +98,6 @@ type Sig struct {
 }
 
 func (*Sig) AFact() {}
-
-func init() { analysis.RegisterFact(&Sig{}) }
 
 // taint returns the trace for the given kind, or nil.
 func (s *Sig) taint(kind string) *Trace {

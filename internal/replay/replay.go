@@ -235,10 +235,12 @@ type logRec struct {
 }
 
 // Log is a loaded frame log ready to replay: per-stop record shards
-// plus divergence bookkeeping shared by the cursors.
+// plus divergence bookkeeping shared by the cursors. Shards are keyed
+// by stop index rather than preallocated from the head's stop count,
+// so a hostile head cannot make Load allocate memory it never fills.
 type Log struct {
 	head  Head
-	stops [][]logRec
+	stops map[int][]logRec
 
 	mu    sync.Mutex
 	errs  map[int]error // first divergence per stop
@@ -271,7 +273,7 @@ func Load(r io.Reader) (*Log, error) {
 	}
 	l := &Log{
 		head:  head,
-		stops: make([][]logRec, head.Stops),
+		stops: make(map[int][]logRec),
 		errs:  make(map[int]error),
 	}
 	for n := 1; ; n++ {
@@ -347,23 +349,20 @@ func (l *Log) Err() error {
 	if l.setup != nil {
 		return l.setup
 	}
-	for stop := range l.stops {
-		if err, ok := l.errs[stop]; ok {
-			return err
+	first := -1
+	for stop := range l.errs {
+		if first < 0 || stop < first {
+			first = stop
 		}
 	}
-	return nil
+	return l.errs[first]
 }
 
 // Cursor returns the replay feed for one stop. Each cursor is used by
 // a single stop's medium (one goroutine); divergences latch into the
 // shared Log.
 func (l *Log) Cursor(stop int) *Cursor {
-	var recs []logRec
-	if stop >= 0 && stop < len(l.stops) {
-		recs = l.stops[stop]
-	}
-	return &Cursor{log: l, stop: stop, recs: recs}
+	return &Cursor{log: l, stop: stop, recs: l.stops[stop]}
 }
 
 // Cursor implements radio.FrameReplayer over one stop's records.
