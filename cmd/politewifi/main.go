@@ -469,44 +469,6 @@ func cmdTail(args []string) {
 	}
 }
 
-// replayLeg is one drive execution captured for the replay diff: the
-// rendered census plus the exact bytes of the telemetry report and the
-// flight-recorder stream.
-type replayLeg struct {
-	r      *experiments.Table2Result
-	report []byte
-	stream []byte
-}
-
-// runReplayLeg executes the spec once with full capture plumbing;
-// log non-nil replays a frame log instead of simulating the medium.
-func runReplayLeg(spec jobspec.Spec, workers int, log *replay.Log) replayLeg {
-	cfg, err := spec.WorldConfig()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "politewifi:", err)
-		os.Exit(1)
-	}
-	if workers > 0 {
-		cfg.Workers = workers
-	}
-	reg := telemetry.NewRegistry(nil)
-	cfg.Metrics = reg
-	var buf bytes.Buffer
-	cfg.Stream = stream.NewWriter(&buf)
-	cfg.Replay = log
-	r := experiments.Table2WithConfig(cfg)
-	if err := cfg.Stream.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "politewifi: stream:", err)
-		os.Exit(1)
-	}
-	var rep bytes.Buffer
-	if err := reg.Snapshot().WriteJSON(&rep); err != nil {
-		fmt.Fprintln(os.Stderr, "politewifi:", err)
-		os.Exit(1)
-	}
-	return replayLeg{r: r, report: rep.Bytes(), stream: buf.Bytes()}
-}
-
 // cmdReplay re-runs a recorded drive from its frame log — the medium's
 // outcomes come from the log, not from simulation — and diffs it
 // against a fresh live run of the jobspec embedded in the log's head.
@@ -544,28 +506,29 @@ func cmdReplay(args []string) {
 		os.Exit(1)
 	}
 
-	replayed := runReplayLeg(spec, *workers, log)
-	if err := log.Err(); err != nil {
+	w := *workers
+	if w == 0 {
+		w = spec.Workers
+	}
+	replayed, err := fuzzer.RunLeg(spec, w, false, log)
+	if err == nil {
+		err = log.Err()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "politewifi: replay:", err)
 		os.Exit(1)
 	}
-	live := runReplayLeg(spec, *workers, nil)
-	switch {
-	case !bytes.Equal(replayed.stream, live.stream):
-		fmt.Fprintf(os.Stderr, "politewifi: replay: flight-recorder streams differ (replay %d bytes, live %d bytes)\n",
-			len(replayed.stream), len(live.stream))
-		os.Exit(1)
-	case !bytes.Equal(replayed.report, live.report):
-		fmt.Fprintf(os.Stderr, "politewifi: replay: telemetry reports differ (replay %d bytes, live %d bytes)\n",
-			len(replayed.report), len(live.report))
-		os.Exit(1)
-	case replayed.r.Render() != live.r.Render():
-		fmt.Fprintln(os.Stderr, "politewifi: replay: census tables differ")
+	live, err := fuzzer.RunLeg(spec, w, false, nil)
+	if err == nil {
+		err = fuzzer.CompareLegs("replay vs live", replayed, live)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "politewifi: replay:", err)
 		os.Exit(1)
 	}
-	fmt.Print(replayed.r.Render())
+	fmt.Print(experiments.Table2FromResult(replayed.Result).Render())
 	fmt.Printf("\nreplayed %d frame-log records across %d stops: census, telemetry (%d bytes) and stream (%d bytes) match the live run exactly\n",
-		log.Records(), log.Stops(), len(replayed.report), len(replayed.stream))
+		log.Records(), log.Stops(), len(replayed.Report), len(replayed.Stream))
 }
 
 // cmdFuzz runs the differential scenario fuzzer (see internal/fuzzer):

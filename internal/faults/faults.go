@@ -31,6 +31,7 @@ package faults
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -132,9 +133,10 @@ func ParseSpec(spec string) (Config, error) {
 			return c, fmt.Errorf("faults: %q is not key=value", part)
 		}
 		frac := func() (float64, error) {
+			// ParseFloat accepts "NaN" and "Inf"; neither is a rate.
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 {
-				return 0, fmt.Errorf("faults: %s=%q: want a non-negative number", key, val)
+			if err != nil || f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+				return 0, fmt.Errorf("faults: %s=%q: want a finite non-negative number", key, val)
 			}
 			return f, nil
 		}

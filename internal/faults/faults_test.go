@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"politewifi/internal/dot11"
@@ -32,7 +34,8 @@ func TestParseSpec(t *testing.T) {
 	if c, err := ParseSpec(""); err != nil || c.Enabled() {
 		t.Fatalf("empty spec = %+v, %v", c, err)
 	}
-	for _, bad := range []string{"loss", "loss=x", "loss=-1", "jam-period=0s", "bogus=1"} {
+	for _, bad := range []string{"loss", "loss=x", "loss=-1", "jam-period=0s", "bogus=1",
+		"loss=NaN", "ack=Inf", "jam=+Inf", "deaf=nan"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)
 		}
@@ -180,4 +183,39 @@ func TestConfigEnabled(t *testing.T) {
 			t.Fatalf("%+v should be enabled", c)
 		}
 	}
+}
+
+// FuzzParseSpec holds the `-faults` grammar to its contract on
+// arbitrary input: it never panics, and every field of a Config it
+// accepts is finite and non-negative — an impairment a drive can run.
+// testdata/fuzz/FuzzParseSpec holds the NaN and Inf rates it once let
+// through.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"", "loss=0.3,ack=0.5,jam=0.2,jam-period=100ms,deaf=0.25,deaf-period=200ms",
+		"loss=1", "loss=0.9999999999999999", "deaf=-0", "jam-period=-1s",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		v := reflect.ValueOf(c)
+		for i := 0; i < v.NumField(); i++ {
+			var x float64
+			switch fv := v.Field(i); fv.Kind() {
+			case reflect.Float64:
+				x = fv.Float()
+			case reflect.Int64:
+				x = float64(fv.Int())
+			default:
+				t.Fatalf("Config.%s has unchecked kind %s", v.Type().Field(i).Name, fv.Kind())
+			}
+			if !(x >= 0) || math.IsInf(x, 0) {
+				t.Fatalf("ParseSpec(%q) accepted Config.%s = %g", spec, v.Type().Field(i).Name, x)
+			}
+		}
+	})
 }

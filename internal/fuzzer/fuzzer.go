@@ -146,21 +146,22 @@ func randomSpec(r *eventsim.RNG) jobspec.Spec {
 	return s
 }
 
-// legOutput is everything one drive leg produces that the oracles
-// compare byte for byte.
-type legOutput struct {
-	res     *world.Result
-	report  []byte
-	stream  []byte
-	logData []byte // recorded frame log (recording legs only)
+// Leg is everything one drive leg produces that the oracles compare
+// byte for byte.
+type Leg struct {
+	Result  *world.Result
+	Report  []byte // telemetry report JSON
+	Stream  []byte // flight-recorder NDJSON
+	LogData []byte // recorded frame log (recording legs only)
 }
 
-// runLeg executes one drive with full capture plumbing. Exactly one of
-// record/log may be set: record captures a frame log, log replays one.
-func runLeg(spec jobspec.Spec, workers int, record bool, log *replay.Log) (legOutput, error) {
+// RunLeg executes one drive of spec on workers goroutines with full
+// capture plumbing. At most one of record/log may be set: record
+// captures a frame log, log replays one (check log.Err afterwards).
+func RunLeg(spec jobspec.Spec, workers int, record bool, log *replay.Log) (Leg, error) {
 	cfg, err := spec.WorldConfig()
 	if err != nil {
-		return legOutput{}, err
+		return Leg{}, err
 	}
 	cfg.Workers = workers
 	reg := telemetry.NewRegistry(nil)
@@ -173,7 +174,7 @@ func runLeg(spec jobspec.Spec, workers int, record bool, log *replay.Log) (legOu
 		rec = replay.NewRecorder(&logBuf)
 		specJSON, err := json.Marshal(spec)
 		if err != nil {
-			return legOutput{}, err
+			return Leg{}, err
 		}
 		rec.SetSpec(specJSON)
 		cfg.Record = rec
@@ -182,30 +183,30 @@ func runLeg(spec jobspec.Spec, workers int, record bool, log *replay.Log) (legOu
 
 	res := world.Run(cfg)
 	if err := cfg.Stream.Err(); err != nil {
-		return legOutput{}, fmt.Errorf("fuzzer: stream: %w", err)
+		return Leg{}, fmt.Errorf("fuzzer: stream: %w", err)
 	}
 	if rec != nil {
 		if err := rec.Err(); err != nil {
-			return legOutput{}, fmt.Errorf("fuzzer: recorder: %w", err)
+			return Leg{}, fmt.Errorf("fuzzer: recorder: %w", err)
 		}
 	}
 	var rep bytes.Buffer
 	if err := reg.Snapshot().WriteJSON(&rep); err != nil {
-		return legOutput{}, err
+		return Leg{}, err
 	}
-	return legOutput{res: res, report: rep.Bytes(), stream: streamBuf.Bytes(), logData: logBuf.Bytes()}, nil
+	return Leg{Result: res, Report: rep.Bytes(), Stream: streamBuf.Bytes(), LogData: logBuf.Bytes()}, nil
 }
 
-// compareLegs reports the first byte-level disagreement between two
+// CompareLegs reports the first byte-level disagreement between two
 // legs of the same spec.
-func compareLegs(what string, a, b legOutput) error {
-	if !bytes.Equal(a.stream, b.stream) {
-		return fmt.Errorf("%s: flight-recorder streams differ (%d vs %d bytes)", what, len(a.stream), len(b.stream))
+func CompareLegs(what string, a, b Leg) error {
+	if !bytes.Equal(a.Stream, b.Stream) {
+		return fmt.Errorf("%s: flight-recorder streams differ (%d vs %d bytes)", what, len(a.Stream), len(b.Stream))
 	}
-	if !bytes.Equal(a.report, b.report) {
-		return fmt.Errorf("%s: telemetry reports differ (%d vs %d bytes)", what, len(a.report), len(b.report))
+	if !bytes.Equal(a.Report, b.Report) {
+		return fmt.Errorf("%s: telemetry reports differ (%d vs %d bytes)", what, len(a.Report), len(b.Report))
 	}
-	if !reflect.DeepEqual(a.res, b.res) {
+	if !reflect.DeepEqual(a.Result, b.Result) {
 		return fmt.Errorf("%s: census results differ", what)
 	}
 	return nil
@@ -214,15 +215,15 @@ func compareLegs(what string, a, b legOutput) error {
 // checkDeterminism runs the spec twice — workers=1 vs the drawn worker
 // count — and compares.
 func checkDeterminism(spec jobspec.Spec, altWorkers int) error {
-	base, err := runLeg(spec, 1, false, nil)
+	base, err := RunLeg(spec, 1, false, nil)
 	if err != nil {
 		return err
 	}
-	alt, err := runLeg(spec, altWorkers, false, nil)
+	alt, err := RunLeg(spec, altWorkers, false, nil)
 	if err != nil {
 		return err
 	}
-	return compareLegs(fmt.Sprintf("workers 1 vs %d", altWorkers), base, alt)
+	return CompareLegs(fmt.Sprintf("workers 1 vs %d", altWorkers), base, alt)
 }
 
 // replayFailure carries the evidence a failed record/replay check
@@ -238,11 +239,11 @@ type replayFailure struct {
 // replays the log against a fresh live run of the same spec. Any byte
 // difference or unconsumed log suffix is a failure.
 func checkReplay(spec jobspec.Spec, opts Options) (*replayFailure, error) {
-	recorded, err := runLeg(spec, spec.Workers, true, nil)
+	recorded, err := RunLeg(spec, spec.Workers, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	logData := recorded.logData
+	logData := recorded.LogData
 	if opts.Tamper != nil {
 		logData, err = tamperLog(logData, opts.Tamper)
 		if err != nil {
@@ -253,7 +254,7 @@ func checkReplay(spec jobspec.Spec, opts Options) (*replayFailure, error) {
 	if err != nil {
 		return &replayFailure{err: err, logData: logData}, nil
 	}
-	replayed, err := runLeg(spec, spec.Workers, false, log)
+	replayed, err := RunLeg(spec, spec.Workers, false, log)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +266,7 @@ func checkReplay(spec jobspec.Spec, opts Options) (*replayFailure, error) {
 		}
 		return f, nil
 	}
-	if err := compareLegs("record vs replay", recorded, replayed); err != nil {
+	if err := CompareLegs("record vs replay", recorded, replayed); err != nil {
 		return &replayFailure{err: err, logData: logData}, nil
 	}
 	return nil, nil

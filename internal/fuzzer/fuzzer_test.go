@@ -139,7 +139,7 @@ func TestSeqPackRegressionFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runLeg(spec, spec.Workers, false, log); err != nil {
+	if _, err := RunLeg(spec, spec.Workers, false, log); err != nil {
 		t.Fatal(err)
 	}
 	var de *replay.DivergenceError

@@ -113,10 +113,15 @@ func LossSweep() Spec {
 }
 
 // ApplyDefaults fills unset fields in place: empty Kind becomes
-// drive, zero Seed/Scale/StopSize/DwellMS take the kind's defaults.
-// Decoded JSON specs pass through here so an omitted field means
-// exactly what an untouched CLI flag means.
+// drive, zero Seed/Scale/StopSize/DwellMS take the kind's defaults,
+// and an empty Rates list becomes nil (both mean the default rates,
+// and only nil survives a JSON round trip). Decoded JSON specs pass
+// through here so an omitted field means exactly what an untouched
+// CLI flag means.
 func (s *Spec) ApplyDefaults() {
+	if len(s.Rates) == 0 {
+		s.Rates = nil
+	}
 	if s.Kind == "" {
 		s.Kind = KindDrive
 	}
@@ -147,7 +152,9 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("jobspec: unknown kind %q (want %q or %q)", s.Kind, KindDrive, KindLossSweep)
 	}
-	if s.Scale <= 0 || s.Scale > 1 {
+	// Range checks are written so that NaN, which fails every
+	// comparison, fails them.
+	if !(s.Scale > 0 && s.Scale <= 1) {
 		return fmt.Errorf("jobspec: scale %g out of range (0, 1]", s.Scale)
 	}
 	if s.StopSize < 1 {
@@ -174,7 +181,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, r := range s.Rates {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) {
 			return fmt.Errorf("jobspec: loss rate %g out of range [0, 1]", r)
 		}
 	}

@@ -3,6 +3,7 @@ package jobspec
 import (
 	"encoding/json"
 	"flag"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,9 +67,25 @@ func TestDecodeRejects(t *testing.T) {
 		`{"kind":"losssweep","rates":[1.5]}`,       // rate out of range
 		`{"probe_interval_us":-1}`,                 // negative probe cadence
 		`{"scan_interval_ms":-5}`,                  // negative scan cadence
+		`{"faults":"ack=NaN"}`,                     // non-finite fault rate
 	} {
 		if _, err := Decode(strings.NewReader(bad)); err == nil {
 			t.Errorf("Decode(%s) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestValidateRejectsNaN: JSON cannot carry NaN, but a flag-parsed or
+// hand-built spec can, and every NaN comparison is false — so each
+// range check must be written to fail on NaN, not to pass it.
+func TestValidateRejectsNaN(t *testing.T) {
+	nanScale := Drive()
+	nanScale.Scale = math.NaN()
+	nanRate := LossSweep()
+	nanRate.Rates = []float64{0.1, math.NaN()}
+	for _, s := range []Spec{nanScale, nanRate} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("Validate(%v) accepted a NaN", s)
 		}
 	}
 }
@@ -140,4 +157,43 @@ func TestWorldConfig(t *testing.T) {
 	if _, err := (Spec{Kind: "bogus"}).WorldConfig(); err == nil {
 		t.Fatal("WorldConfig accepted an invalid spec")
 	}
+}
+
+// FuzzDecode holds the daemon's job-submission decoder to its contract
+// on arbitrary bodies: it never panics; a spec it accepts validates,
+// builds a world.Config, and survives a JSON re-encode and decode
+// unchanged. testdata/fuzz/FuzzDecode holds the NaN fault rate it once
+// admitted and the empty rates list that once failed the round trip.
+func FuzzDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{}`, `{"kind":"losssweep"}`, `{"kind":"losssweep","rates":[0,0.5,1]}`,
+		`{"seed":7,"scale":0.02,"stop_size":8,"dwell_ms":400,"workers":4,"faults":"loss=0.2,ack=0.1"}`,
+		`{"probe_interval_us":1500,"scan_interval_ms":25}`,
+		`{"scale":2}`, `{"sede":7}`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		s, err := Decode(strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("Decode(%q) accepted a spec Validate rejects: %v", body, err)
+		}
+		if _, err := s.WorldConfig(); err != nil {
+			t.Fatalf("Decode(%q) accepted a spec WorldConfig rejects: %v", body, err)
+		}
+		buf, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", s, err)
+		}
+		again, err := Decode(strings.NewReader(string(buf)))
+		if err != nil {
+			t.Fatalf("re-decode %s: %v", buf, err)
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Fatalf("JSON round trip changed the spec:\nin:  %+v\nout: %+v", s, again)
+		}
+	})
 }

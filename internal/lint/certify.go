@@ -142,7 +142,7 @@ func certEntries(tpkg *types.Package, fs *analysis.FactSet) []string {
 			notes = append(notes, n)
 		}
 		if len(notes) == 0 {
-			// Only yield/clamp information: still pure for the
+			// Only yield information: still pure for the
 			// certificate's purposes.
 			out = append(out, fmt.Sprintf("- `%s` — pure", key))
 			continue

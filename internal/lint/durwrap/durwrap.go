@@ -20,12 +20,12 @@
 // masks to the field width before shifting, mirroring the wrap the
 // protocol defines: `(sc.Number&0xfff)<<4`.
 //
-// Guards may also live inside a named clamp helper instead of at the
-// call site: a function the purity fact pass proves returns a
-// non-negative value of at most N significant bits (an if-chain
-// against a named const, or a min/max clamp — see purity.Clamp)
-// earns a Clamp fact, and `uint16(capNAV(d))` is sanctioned whenever
-// the fact's bound fits the target width — across package boundaries.
+// A guard is a dominating if (an enclosing condition, or an earlier
+// early-exit or clamping if in the same block) that mentions the
+// operand, or a clamping call inside the operand itself: builtin
+// min/max, or a helper named clamp* or saturate*. The name is the
+// whole sanction — `uint16(clampNAV(d))` passes, `uint16(capNAV(d))`
+// does not, however capNAV bounds its result.
 package durwrap
 
 import (
@@ -37,7 +37,6 @@ import (
 	"regexp"
 
 	"politewifi/internal/lint/analysis"
-	"politewifi/internal/lint/purity"
 )
 
 // Analyzer implements the check.
@@ -45,8 +44,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "durwrap",
 	Doc: "flag uint8/16/32 narrowing of duration-typed values, unsigned subtraction of duration-like " +
 		"quantities without a dominating guard (the dot11.CTSFor NAV-underflow class), and unmasked " +
-		"shifts that can push bits past an unsigned wire field's width (the dot11 sequence-pack class); " +
-		"a named clamp helper carrying a purity Clamp fact sanctions the narrowing it bounds",
+		"shifts that can push bits past an unsigned wire field's width (the dot11 sequence-pack class)",
 	Run: run,
 }
 
@@ -92,12 +90,6 @@ func checkConversion(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) 
 	// A constant operand is range-checked by the compiler at the
 	// conversion; it cannot wrap at run time.
 	if tv, ok := pass.TypesInfo.Types[op]; ok && tv.Value != nil {
-		return
-	}
-	// A clamp-helper result (purity Clamp fact) that is provably
-	// non-negative and fits the target width cannot wrap: the guard
-	// lives inside the named helper instead of at the call site.
-	if cf := purity.ClampFactOf(pass, op); cf != nil && cf.NonNeg && cf.Bits <= bits {
 		return
 	}
 	if guarded(pass, stack, op) {
@@ -220,10 +212,6 @@ func effectiveBits(pass *analysis.Pass, e ast.Expr) int {
 				w = cw
 			}
 			return min(w, effectiveBits(pass, e.Args[0]))
-		}
-		// A clamp helper's result is bounded by its Clamp fact.
-		if cf := purity.ClampFactOf(pass, e); cf != nil && cf.NonNeg {
-			return cf.Bits
 		}
 	}
 	if w, unsigned := analysis.IsUnsigned(pass.TypeOf(e)); unsigned && w > 0 {

@@ -10,10 +10,3 @@ import (
 func TestDurwrap(t *testing.T) {
 	analysistest.Run(t, durwrap.Analyzer, "a")
 }
-
-// TestClampHelpers checks that a named clamp helper carrying a purity
-// Clamp fact sanctions the narrowing of its result, and that a helper
-// which bounds only one side does not.
-func TestClampHelpers(t *testing.T) {
-	analysistest.Run(t, durwrap.Analyzer, "clamp")
-}

@@ -150,3 +150,32 @@ func packGuarded(n uint16) uint16 {
 	}
 	return n << 4
 }
+
+// maxNAV is the widest value a 15-bit NAV field carries.
+const maxNAV Time = 32767
+
+// clampNAV bounds d to [0, maxNAV]. Its clamp* name is the sanction:
+// durwrap reads the call site, not the helper's body.
+func clampNAV(d Time) Time {
+	return min(max(d, 0), maxNAV)
+}
+
+// capNAV bounds d exactly as clampNAV does, but its name carries no
+// sanction, so narrowing its result is still a finding.
+func capNAV(d Time) Time {
+	if d < 0 {
+		return 0
+	}
+	if d > maxNAV {
+		return maxNAV
+	}
+	return d
+}
+
+func packClamped(d Time) uint16 {
+	return uint16(clampNAV(d))
+}
+
+func packCapped(d Time) uint16 {
+	return uint16(capNAV(d)) // want "narrows duration-typed"
+}

@@ -1,14 +1,13 @@
 // Package purity is politevet's interprocedural fact pass: it
 // computes, for every function in a package, a purity signature —
 // wallclock-tainted, globalrand-tainted, arena-escaping parameters,
-// sleep-spinning loops, yield capability, and clamp bounds — and
-// exports it as an in-memory per-object fact (DESIGN.md §5j).
-// Downstream analyzers (wallclock, globalrand, simsleep, bufreuse,
-// durwrap) import these facts for their callees, which upgrades them
-// from "direct call" to "transitively reachable" checks: a helper in
-// internal/rt that reads time.Now taints every caller in
-// internal/world, and the diagnostic carries the full call chain
-// (world.Run → rt.poll → time.Now).
+// sleep-spinning loops and yield capability — and exports it as an
+// in-memory per-object fact (DESIGN.md §5j). Downstream analyzers
+// (wallclock, globalrand, simsleep, bufreuse) import these facts for
+// their callees, which upgrades them from "direct call" to
+// "transitively reachable" checks: a helper in internal/rt that reads
+// time.Now taints every caller in internal/world, and the diagnostic
+// carries the full call chain (world.Run → rt.poll → time.Now).
 //
 // Taint carries a sanctioned bit. A //politevet:allow directive on
 // the source line (or a cmd/ allowlisted package) marks the taint
@@ -40,7 +39,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "purity",
 	Doc: "interprocedural fact pass: per-function purity signatures (wallclock/globalrand taint " +
-		"with call chains, arena-escaping params, spin loops, yield capability, clamp bounds) " +
+		"with call chains, arena-escaping params, spin loops, yield capability) " +
 		"propagated bottom-up across package boundaries",
 	Run: run,
 }
@@ -73,14 +72,6 @@ type Escape struct {
 	Chain []string
 }
 
-// Clamp records that a function's single integer result provably fits
-// in Bits bits (and, when NonNeg, is provably non-negative) — the
-// named const/min-clamp helper shape durwrap sanctions.
-type Clamp struct {
-	Bits   int
-	NonNeg bool
-}
-
 // Sig is the per-function purity signature exported as a fact.
 type Sig struct {
 	Wallclock  *Trace
@@ -91,7 +82,6 @@ type Sig struct {
 	// assumed to yield, so false is a proof, true is the default.
 	Yields  bool
 	Escapes []Escape
-	Clamp   *Clamp
 	// Spin marks a function containing a busy-wait loop (the simsleep
 	// class); recorded for the certificate, not propagated.
 	Spin *Trace
@@ -273,7 +263,7 @@ func (a *pkgAnalysis) enclosing(pos token.Pos) *fnInfo {
 func (a *pkgAnalysis) export(fi *fnInfo) {
 	s := fi.sig
 	if s.Wallclock == nil && s.GlobalRand == nil && s.Yields &&
-		len(s.Escapes) == 0 && s.Clamp == nil && s.Spin == nil {
+		len(s.Escapes) == 0 && s.Spin == nil {
 		// The all-defaults signature carries no information; dependents
 		// assume exactly this shape for factless objects.
 		return
@@ -296,7 +286,7 @@ func display(fn *types.Func) string {
 }
 
 // seed performs the single-function scan: direct taint sources,
-// static call sites, yield seeds, escape seeds, and the clamp shape.
+// static call sites, yield seeds and escape seeds.
 func (a *pkgAnalysis) seed(fi *fnInfo) {
 	fi.sig.Yields = false
 	body := fi.decl.Body
@@ -318,7 +308,6 @@ func (a *pkgAnalysis) seed(fi *fnInfo) {
 	fi.seedYields = a.seedYields(fi)
 	fi.sig.Yields = fi.seedYields
 	a.seedEscapes(fi)
-	fi.sig.Clamp = clampShape(a.pass, fi.decl)
 }
 
 func find(calls []callSite, callee *types.Func) (callSite, bool) {

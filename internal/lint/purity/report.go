@@ -55,37 +55,6 @@ func ReportTaints(pass *analysis.Pass, kind string, report func(pos token.Pos, c
 	}
 }
 
-// ClampFactOf resolves the Clamp fact of the function a call
-// expression statically invokes, looking through parentheses. Returns
-// nil when e is not such a call or the callee has no clamp fact.
-func ClampFactOf(pass *analysis.Pass, e ast.Expr) *Clamp {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	if _, isConv := pass.IsConversion(call); isConv {
-		if len(call.Args) == 1 {
-			// uint16(capNAV(x)): the conversion preserves the clamp when
-			// it is at least as wide as the clamped value.
-			if inner := ClampFactOf(pass, call.Args[0]); inner != nil {
-				if w, uns := analysis.IsUnsigned(pass.TypeOf(call)); uns && w > 0 && inner.Bits <= w {
-					return inner
-				}
-			}
-		}
-		return nil
-	}
-	callee := analysis.StaticCallee(pass.TypesInfo, call)
-	if callee == nil {
-		return nil
-	}
-	var sig Sig
-	if !pass.ImportObjectFact(callee, &sig) {
-		return nil
-	}
-	return sig.Clamp
-}
-
 // EscapeFactOf returns the escape records of a call's static callee
 // (nil when factless or escape-free), for bufreuse's interprocedural
 // check.

@@ -2,8 +2,9 @@
 // job-serving daemon for wardrive campaigns. It accepts the same job
 // specs as the one-shot CLIs (internal/jobspec), runs them as
 // cancellable, resumable jobs over one bounded global stop-level
-// worker pool, and streams each drive's flight-recorder NDJSON live
-// over chunked HTTP.
+// world.Pool — the same FIFO executor world.Run builds privately for a
+// one-shot drive — and streams each drive's flight-recorder NDJSON
+// live over chunked HTTP.
 //
 // The service inherits the simulator's determinism wholesale: a job's
 // stream bytes are identical to `politewifi wardrive -stream` with the
@@ -68,7 +69,7 @@ type Config struct {
 // cmd/politewifid wraps it in an http.Server.
 type Server struct {
 	cfg  Config
-	pool *Pool
+	pool *world.Pool
 	mux  *http.ServeMux
 
 	mu      sync.Mutex
@@ -95,7 +96,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:   cfg,
-		pool:  NewPool(cfg.PoolWorkers),
+		pool:  world.NewPool(cfg.PoolWorkers),
 		jobs:  make(map[string]*Job),
 		queue: make(chan *Job, cfg.QueueDepth),
 	}

@@ -17,7 +17,6 @@ func parallelTestConfig() Config {
 		Scale:             0.02, // ~76 APs, ~30 clients, ~20 stops
 		HouseholdsPerStop: 4,
 		DwellPerChannel:   600 * eventsim.Millisecond,
-		VehicleSpeedKmh:   40,
 	}
 }
 

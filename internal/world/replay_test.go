@@ -25,7 +25,6 @@ func replayTestConfig() Config {
 		Scale:             0.006, // ~22 APs, ~9 clients, ~6 stops
 		HouseholdsPerStop: 4,
 		DwellPerChannel:   200 * eventsim.Millisecond,
-		VehicleSpeedKmh:   40,
 		Faults: func() *faults.Config {
 			fc := faults.BurstyLoss(0.08)
 			fc.ACKLoss = 0.05
@@ -133,7 +132,6 @@ func TestFramelogGolden(t *testing.T) {
 		Scale:             0.004,
 		HouseholdsPerStop: 4,
 		DwellPerChannel:   100 * eventsim.Millisecond,
-		VehicleSpeedKmh:   40,
 		Workers:           2,
 	}
 	var buf bytes.Buffer

@@ -105,7 +105,6 @@ func TestStreamGolden(t *testing.T) {
 		Scale:             0.008,
 		HouseholdsPerStop: 8,
 		DwellPerChannel:   400 * eventsim.Millisecond,
-		VehicleSpeedKmh:   40,
 		Workers:           2,
 	}
 	cfg.Metrics = telemetry.NewRegistry(nil)

@@ -340,13 +340,12 @@ type Config struct {
 	HouseholdsPerStop int
 	// DwellPerChannel is the simulated scan time per channel per stop.
 	DwellPerChannel eventsim.Time
-	// VehicleSpeedKmh models the drive duration between stops.
-	VehicleSpeedKmh float64
-	// Workers bounds the worker pool that simulates stops. Stops are
-	// RF-independent neighbourhoods (see the package doc), so they
-	// can run concurrently; results and telemetry are merged in stop
-	// order afterwards, making the output identical for every worker
-	// count. 0 means GOMAXPROCS; 1 forces a sequential drive.
+	// Workers sizes the private Pool that simulates stops when Submit
+	// is nil. Stops are RF-independent neighbourhoods (see the package
+	// doc), so they can run concurrently; results and telemetry are
+	// merged in stop order afterwards, making the output identical for
+	// every worker count. 0 means GOMAXPROCS; 1 simulates one stop at
+	// a time. Ignored when Submit is set.
 	Workers int
 	// Faults, when non-nil and enabled, injects deterministic channel
 	// impairments (bursty loss, interference windows, deafness, ACK
@@ -388,14 +387,14 @@ type Config struct {
 	// pipe.
 	Cancel <-chan struct{}
 	// Submit, when non-nil, dispatches each stop's simulation to an
-	// external executor — the politewifid daemon's shared global
-	// worker pool — instead of the per-run pool Workers configures.
-	// The executor must eventually run every submitted task, in any
-	// order and with any concurrency, and must start a job's tasks in
-	// submission order (FIFO); Run blocks until its own tasks finish.
-	// Because per-stop RNGs are pre-forked and shards merge in stop
-	// order, the census, telemetry, and stream bytes are identical to
-	// a run on a private pool.
+	// external executor — the politewifid daemon's shared global Pool
+	// — instead of the private Pool Workers sizes. The executor must
+	// eventually run every submitted task, with any concurrency, and
+	// must start a drive's tasks in submission order (FIFO); Run
+	// blocks until its own tasks finish. Because per-stop RNGs are
+	// pre-forked and shards merge in stop order, the census,
+	// telemetry, and stream bytes are identical to a run on a private
+	// pool.
 	Submit func(task func())
 	// StartStop resumes a drive mid-way: stops before it are built
 	// (their RNG forks are consumed so the seed stream stays aligned)
@@ -436,6 +435,9 @@ type Config struct {
 	ActiveScanInterval eventsim.Time
 }
 
+// vehicleSpeedKmh models the drive duration between stops.
+const vehicleSpeedKmh = 40
+
 // DefaultConfig is the full-scale study configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -443,7 +445,6 @@ func DefaultConfig() Config {
 		Scale:             1.0,
 		HouseholdsPerStop: 4,
 		DwellPerChannel:   1200 * eventsim.Millisecond,
-		VehicleSpeedKmh:   40,
 	}
 }
 
@@ -451,7 +452,8 @@ func DefaultConfig() Config {
 // neighbourhood, let clients associate and chatter, and run the
 // scanner on each 2.4 GHz channel; then accumulate the census.
 //
-// Stops run on a pool of cfg.Workers goroutines. Each stop's RNG is
+// Stops run on a private Pool of cfg.Workers goroutines, or on
+// cfg.Submit's executor when set. Each stop's RNG is
 // pre-forked from the root seed in street order — the same fork
 // sequence a sequential drive performs — and each stop fills a
 // private result shard plus a private telemetry registry. Shards are
@@ -467,9 +469,6 @@ func Run(cfg Config) *Result {
 	}
 	if cfg.DwellPerChannel == 0 {
 		cfg.DwellPerChannel = 1200 * eventsim.Millisecond
-	}
-	if cfg.VehicleSpeedKmh == 0 {
-		cfg.VehicleSpeedKmh = 40
 	}
 	rootRNG := eventsim.NewRNG(cfg.Seed)
 	city := BuildCity(rootRNG.Fork(), cfg.Scale)
@@ -503,14 +502,6 @@ func Run(cfg Config) *Result {
 	}
 	if start > len(stops) {
 		start = len(stops)
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(stops)-start {
-		workers = len(stops) - start
 	}
 
 	// cancelled polls the cooperative stop signal without blocking.
@@ -577,67 +568,37 @@ func Run(cfg Config) *Result {
 		}
 	}
 	merger := &orderedMerger{next: start, pending: make(map[int]*stopResult), emit: emit}
-	switch {
-	case cfg.Submit != nil:
-		// External executor: the politewifid shared pool. Tasks are
-		// submitted in street order; the pool starts them FIFO, so on
-		// cancellation the simulated set is a prefix of the submitted
-		// set and the merged result stays contiguous. A task that
-		// observes the cancel before simulating skips its stop — it
-		// was queued, not running, so skipping keeps cancellation
-		// latency bounded by the stops already in flight.
-		var wg sync.WaitGroup
-		for i := start; i < len(stops); i++ {
-			if cancelled() {
-				break
-			}
-			wg.Add(1)
-			i := i
-			cfg.Submit(func() {
-				defer wg.Done()
-				if cancelled() {
-					return
-				}
-				merger.complete(i, runStop(rngs[i], i, stops[i], cfg))
-			})
+	submit := cfg.Submit
+	if submit == nil {
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
-		wg.Wait()
-	case workers <= 1:
-		for i := start; i < len(stops); i++ {
+		pool := NewPool(min(workers, len(stops)-start))
+		defer pool.Close()
+		submit = pool.Submit
+	}
+	// Tasks are submitted in street order and the pool starts them
+	// FIFO, so on cancellation the simulated set is a prefix of the
+	// submitted set and the merged result stays contiguous. A task that
+	// observes the cancel before simulating skips its stop — it was
+	// queued, not running, so skipping keeps cancellation latency
+	// bounded by the stops already in flight.
+	var wg sync.WaitGroup
+	for i := start; i < len(stops); i++ {
+		if cancelled() {
+			break
+		}
+		wg.Add(1)
+		submit(func() {
+			defer wg.Done()
 			if cancelled() {
-				break
+				return
 			}
 			merger.complete(i, runStop(rngs[i], i, stops[i], cfg))
-		}
-	default:
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					merger.complete(i, runStop(rngs[i], i, stops[i], cfg))
-				}
-			}()
-		}
-	feed:
-		for i := start; i < len(stops); i++ {
-			if cancelled() {
-				break
-			}
-			select {
-			case jobs <- i:
-			case <-cfg.Cancel:
-				// Workers drain the stop they hold and exit; nothing
-				// else is dispatched. (A nil Cancel blocks this arm
-				// forever, so the select degenerates to the send.)
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
+		})
 	}
+	wg.Wait()
 
 	res.StopsDone = merger.done()
 	res.Cancelled = res.StopsDone < len(stops)
@@ -656,7 +617,7 @@ func Run(cfg Config) *Result {
 	for i := 1; i < len(stops); i++ {
 		dist += radioDist(stops[i-1].Pos, stops[i].Pos)
 	}
-	driveH := dist / 1000 / cfg.VehicleSpeedKmh
+	driveH := dist / 1000 / vehicleSpeedKmh
 	dwellH := (res.SimPerStop.Seconds() * float64(len(stops))) / 3600
 	res.DriveMinutes = (driveH + dwellH) * 60
 	return res

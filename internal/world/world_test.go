@@ -111,7 +111,6 @@ func TestWardriveSmall(t *testing.T) {
 		Scale:             0.02, // ~76 APs, ~30 clients
 		HouseholdsPerStop: 4,
 		DwellPerChannel:   1200 * eventsim.Millisecond,
-		VehicleSpeedKmh:   40,
 	}
 	res := Run(cfg)
 
