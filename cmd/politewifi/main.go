@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"politewifi/internal/core"
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/csi"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
@@ -180,14 +181,15 @@ func newLab(seed int64, victimProfile mac.ChipsetProfile, tf *telemetryFlags) *l
 		macMx = mac.NewMetrics(tf.reg)
 	}
 	l := &lab{sched: sched, medium: medium}
+	psk := crypto80211.NewPSK("correct horse battery staple")
 	l.ap = mac.New(medium, rng.Fork(), mac.Config{
 		Name: "ap", Addr: apAddr, Role: mac.RoleAP, Profile: mac.ProfileGenericAP,
-		SSID: "HomeNet", Passphrase: "correct horse battery staple",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{X: 0}, Band: phy.Band2GHz, Channel: 6,
 	})
 	l.victim = mac.New(medium, rng.Fork(), mac.Config{
 		Name: "victim", Addr: victimAddr, Role: mac.RoleClient, Profile: victimProfile,
-		SSID: "HomeNet", Passphrase: "correct horse battery staple",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
 	})
 	l.ap.SetMetrics(macMx)
@@ -768,14 +770,15 @@ func cmdDeauth(args []string) {
 	medium := radio.NewMedium(sched, rng.Fork(), radio.Config{
 		PathLoss: radio.LogDistance{Exponent: 2.2}, CaptureMarginDB: 10,
 	})
+	psk := crypto80211.NewPSK("correct horse battery staple")
 	mac.New(medium, rng.Fork(), mac.Config{
 		Name: "ap", Addr: apAddr, Role: mac.RoleAP, Profile: mac.ProfileGenericAP,
-		SSID: "HomeNet", Passphrase: "correct horse battery staple", PMF: *pmf,
+		SSID: "HomeNet", PSK: psk, PMF: *pmf,
 		Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
 	})
 	victim := mac.New(medium, rng.Fork(), mac.Config{
 		Name: "victim", Addr: victimAddr, Role: mac.RoleClient, Profile: mac.ProfileGenericClient,
-		SSID: "HomeNet", Passphrase: "correct horse battery staple", PMF: *pmf,
+		SSID: "HomeNet", PSK: psk, PMF: *pmf,
 		Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
 	})
 	victim.Associate(apAddr, nil)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"politewifi/internal/core"
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/csi"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
@@ -28,15 +29,16 @@ func main() {
 
 	apMAC := dot11.MustMAC("f2:6e:0b:00:00:01")
 	tabletMAC := dot11.MustMAC("f2:6e:0b:12:34:56")
+	psk := crypto80211.NewPSK("a very secret passphrase")
 	mac.New(medium, rng.Fork(), mac.Config{
 		Name: "ap", Addr: apMAC, Role: mac.RoleAP, Profile: mac.ProfileGenericAP,
-		SSID: "HomeNet", Passphrase: "a very secret passphrase",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
 	})
 	tablet := mac.New(medium, rng.Fork(), mac.Config{
 		Name: "tablet", Addr: tabletMAC, Role: mac.RoleClient,
 		Profile: mac.ProfileMarvell88W8897,
-		SSID:    "HomeNet", Passphrase: "a very secret passphrase",
+		SSID:    "HomeNet", PSK: psk,
 		Position: radio.Position{X: 8}, Band: phy.Band2GHz, Channel: 6,
 	})
 	tablet.Associate(apMAC, nil)

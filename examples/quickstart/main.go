@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"politewifi/internal/core"
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/mac"
@@ -31,16 +32,17 @@ func main() {
 	// 2. A private WPA2 network: AP plus an associated tablet.
 	apMAC := dot11.MustMAC("f2:6e:0b:00:00:01")
 	tabletMAC := dot11.MustMAC("f2:6e:0b:12:34:56")
+	psk := crypto80211.NewPSK("correct horse battery staple")
 	mac.New(medium, rng.Fork(), mac.Config{
 		Name: "ap", Addr: apMAC, Role: mac.RoleAP,
 		Profile: mac.ProfileGenericAP,
-		SSID:    "HomeNet", Passphrase: "correct horse battery staple",
+		SSID:    "HomeNet", PSK: psk,
 		Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
 	})
 	tablet := mac.New(medium, rng.Fork(), mac.Config{
 		Name: "tablet", Addr: tabletMAC, Role: mac.RoleClient,
 		Profile: mac.ProfileMarvell88W8897, // Surface Pro 2017 (Table 1)
-		SSID:    "HomeNet", Passphrase: "correct horse battery staple",
+		SSID:    "HomeNet", PSK: psk,
 		Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
 	})
 	tablet.Associate(apMAC, nil)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"politewifi/internal/core"
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/csi"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
@@ -31,19 +32,20 @@ func TestPaperEndToEnd(t *testing.T) {
 
 	// A WPA2 home network: deauthing AP, a tablet, and a power-saving
 	// IoT module.
+	psk := crypto80211.NewPSK("correct horse battery staple")
 	ap := mac.New(medium, rng.Fork(), mac.Config{
 		Name: "ap", Addr: apAddr, Role: mac.RoleAP, Profile: mac.ProfileQualcommIPQ4019,
-		SSID: "HomeNet", Passphrase: "correct horse battery staple",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
 	})
 	tablet := mac.New(medium, rng.Fork(), mac.Config{
 		Name: "tablet", Addr: tabletAddr, Role: mac.RoleClient, Profile: mac.ProfileMarvell88W8897,
-		SSID: "HomeNet", Passphrase: "correct horse battery staple",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
 	})
 	iot := mac.New(medium, rng.Fork(), mac.Config{
 		Name: "iot", Addr: iotAddr, Role: mac.RoleClient, Profile: mac.ProfileESP8266,
-		SSID: "HomeNet", Passphrase: "correct horse battery staple",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{X: -4}, Band: phy.Band2GHz, Channel: 6,
 	})
 	tablet.Associate(apAddr, nil)

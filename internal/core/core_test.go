@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/csi"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
@@ -35,14 +36,15 @@ func newWorld(t *testing.T) *world {
 		CaptureMarginDB: 10,
 	})
 	w := &world{m: m, sched: sched}
+	psk := crypto80211.NewPSK("secret passphrase")
 	w.ap = mac.New(m, rng, mac.Config{
 		Name: "ap", Addr: apAddr, Role: mac.RoleAP, Profile: mac.ProfileGenericAP,
-		SSID: "HomeNet", Passphrase: "secret passphrase",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{X: 0}, Band: phy.Band2GHz, Channel: 6,
 	})
 	w.client = mac.New(m, rng, mac.Config{
 		Name: "client", Addr: clientAddr, Role: mac.RoleClient, Profile: mac.ProfileGenericClient,
-		SSID: "HomeNet", Passphrase: "secret passphrase",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
 	})
 	ok := false
@@ -300,7 +302,7 @@ func TestAttackerSeesDeauths(t *testing.T) {
 	m := radio.NewMedium(sched, rng, radio.Config{PathLoss: radio.LogDistance{Exponent: 2.0}})
 	mac.New(m, rng, mac.Config{
 		Name: "ap", Addr: apAddr, Role: mac.RoleAP, Profile: mac.ProfileQualcommIPQ4019,
-		SSID: "HomeNet", Passphrase: "secret passphrase",
+		SSID: "HomeNet", PSK: crypto80211.NewPSK("secret passphrase"),
 		Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
 	})
 	attacker := NewAttacker(m, radio.Position{X: 8}, phy.Band2GHz, 6, DefaultFakeMAC)

@@ -3,6 +3,7 @@ package crypto80211
 import (
 	"bytes"
 	"encoding/hex"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -287,6 +288,46 @@ func TestPMKVector(t *testing.T) {
 	want := "f42c6fc52df0ebef9ebb4b90b38a5f902e83fe1b135a70e23aed762e9710a12e"
 	if hex.EncodeToString(got) != want {
 		t.Fatalf("PMK = %x, want %s", got, want)
+	}
+}
+
+// TestPSKRemembersLastSSID: a handle returns PMK(passphrase, ssid),
+// derives again only when the SSID changes, and keeps one SSID.
+func TestPSKRemembersLastSSID(t *testing.T) {
+	k := NewPSK("password")
+	for i, c := range []struct {
+		ssid        string
+		derivations int
+	}{
+		{"IEEE", 1}, {"IEEE", 1}, {"other", 2}, {"other", 2}, {"IEEE", 3},
+	} {
+		if got := k.PMK(c.ssid); !bytes.Equal(got, PMK("password", c.ssid)) {
+			t.Fatalf("step %d: PMK(%q) = %x, want PMK(password, %q)", i, c.ssid, got, c.ssid)
+		}
+		if got := k.Derivations(); got != c.derivations {
+			t.Fatalf("step %d: derivations = %d, want %d", i, got, c.derivations)
+		}
+	}
+}
+
+// TestPSKConcurrent: stations on different goroutines sharing one
+// handle get the same key from a single derivation.
+func TestPSKConcurrent(t *testing.T) {
+	k := NewPSK("password")
+	want := PMK("password", "IEEE")
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := k.PMK("IEEE"); !bytes.Equal(got, want) {
+				t.Errorf("PMK = %x, want %x", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := k.Derivations(); got != 1 {
+		t.Fatalf("derivations = %d, want 1", got)
 	}
 }
 

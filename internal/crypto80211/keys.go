@@ -5,6 +5,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha1"
 	"encoding/binary"
+	"sync"
 
 	"politewifi/internal/dot11"
 )
@@ -46,6 +47,44 @@ func PBKDF2(password, salt []byte, iter, keyLen int) []byte {
 // passphrase and SSID.
 func PMK(passphrase, ssid string) []byte {
 	return PBKDF2([]byte(passphrase), []byte(ssid), 4096, 32)
+}
+
+// PSK is a WPA2-Personal passphrase shared by the stations of one
+// network, the way wpa_supplicant precomputes psk= from a passphrase:
+// the AP and every client holding the same handle run PBKDF2 once
+// between them instead of once each. PMK derives on the first call
+// for an SSID and returns the stored key after that; the handle
+// remembers only the last SSID. A nil *PSK means an open network.
+type PSK struct {
+	passphrase string
+
+	mu          sync.Mutex
+	ssid        string
+	pmk         []byte
+	derivations int
+}
+
+// NewPSK returns a key handle for the passphrase.
+func NewPSK(passphrase string) *PSK { return &PSK{passphrase: passphrase} }
+
+// PMK returns PMK(passphrase, ssid), deriving it only if the handle
+// does not already hold it. Callers must not modify the result.
+func (k *PSK) PMK(ssid string) []byte {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.pmk == nil || k.ssid != ssid {
+		k.pmk = PMK(k.passphrase, ssid)
+		k.ssid = ssid
+		k.derivations++
+	}
+	return k.pmk
+}
+
+// Derivations reports how many times the handle has run PBKDF2.
+func (k *PSK) Derivations() int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.derivations
 }
 
 // PRF implements the IEEE 802.11 PRF-n (HMAC-SHA1 based) used for

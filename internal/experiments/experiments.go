@@ -20,6 +20,7 @@ package experiments
 
 import (
 	"politewifi/internal/core"
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/mac"
@@ -55,14 +56,15 @@ func newHomeNetwork(seed int64, apProfile, victimProfile mac.ChipsetProfile) *ho
 		CaptureMarginDB: 10,
 	})
 	h := &homeNetwork{sched: sched, medium: medium}
+	psk := crypto80211.NewPSK("correct horse battery staple")
 	h.ap = mac.New(medium, rng.Fork(), mac.Config{
 		Name: "ap", Addr: apAddr, Role: mac.RoleAP, Profile: apProfile,
-		SSID: "HomeNet", Passphrase: "correct horse battery staple",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{X: 0}, Band: phy.Band2GHz, Channel: 6,
 	})
 	h.victim = mac.New(medium, rng.Fork(), mac.Config{
 		Name: "victim", Addr: victimAddr, Role: mac.RoleClient, Profile: victimProfile,
-		SSID: "HomeNet", Passphrase: "correct horse battery staple",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
 	})
 	h.victim.Associate(apAddr, nil)

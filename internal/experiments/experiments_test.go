@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
 
 	"politewifi/internal/eventsim"
+	"politewifi/internal/telemetry"
+	"politewifi/internal/world"
 )
 
 const seed = 20201104
@@ -119,6 +123,41 @@ func TestTable2Scaled(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table 2 render missing %q", want)
 		}
+	}
+}
+
+// TestTable2FullScale pins the paper's full 5,328-device census at
+// the default seed on every core with a telemetry registry attached:
+// the responder count, the scheduler's event total, the medium's
+// delivery total and the rendered Table 2 bytes. Any change to what
+// the drive computes, rather than how fast it computes it, moves one
+// of them.
+func TestTable2FullScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full census in -short mode")
+	}
+	cfg := world.DefaultConfig()
+	reg := telemetry.NewRegistry(nil)
+	cfg.Metrics = reg
+	r := Table2WithConfig(cfg)
+	if got := r.Run.TotalResponded(); got != 5320 {
+		t.Errorf("responded = %d, want 5320", got)
+	}
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"sched.events_fired", 8067731},
+		{"medium.deliveries", 1412011},
+	} {
+		if got := snap.Counter(c.name); got == nil || got.Value != c.want {
+			t.Errorf("%s = %+v, want %d", c.name, got, c.want)
+		}
+	}
+	sum := sha256.Sum256([]byte(r.Render()))
+	if got, want := hex.EncodeToString(sum[:8]), "a695e5dc321881d5"; got != want {
+		t.Errorf("Table 2 render sha256 prefix = %s, want %s:\n%s", got, want, r.Render())
 	}
 }
 

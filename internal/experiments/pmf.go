@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"politewifi/internal/core"
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/mac"
@@ -44,14 +45,15 @@ func PMFStudy(seed int64) *PMFResult {
 		medium := radio.NewMedium(sched, rng.Fork(), radio.Config{
 			PathLoss: radio.LogDistance{Exponent: 2.2}, CaptureMarginDB: 10,
 		})
+		psk := crypto80211.NewPSK("correct horse battery staple")
 		mac.New(medium, rng.Fork(), mac.Config{
 			Name: "ap", Addr: apAddr, Role: mac.RoleAP, Profile: mac.ProfileGenericAP,
-			SSID: "HomeNet", Passphrase: "correct horse battery staple", PMF: pmf,
+			SSID: "HomeNet", PSK: psk, PMF: pmf,
 			Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
 		})
 		victim := mac.New(medium, rng.Fork(), mac.Config{
 			Name: "victim", Addr: victimAddr, Role: mac.RoleClient, Profile: mac.ProfileGenericClient,
-			SSID: "HomeNet", Passphrase: "correct horse battery staple", PMF: pmf,
+			SSID: "HomeNet", PSK: psk, PMF: pmf,
 			Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
 		})
 		victim.Associate(apAddr, nil)

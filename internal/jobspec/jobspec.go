@@ -47,6 +47,11 @@ const (
 	DefaultDwellMS    = 1200
 )
 
+// maxSpan bounds every simulated duration a spec sets: one simulated
+// hour, far past any useful stop schedule, and small enough that
+// WorldConfig's conversion to eventsim.Time cannot overflow.
+const maxSpan = 3600 * eventsim.Second
+
 // Spec parameterises one job. The zero value is not runnable;
 // construct with Drive/LossSweep or decode JSON and call
 // ApplyDefaults. All fields round-trip through JSON.
@@ -160,17 +165,17 @@ func (s Spec) Validate() error {
 	if s.StopSize < 1 {
 		return fmt.Errorf("jobspec: stop_size %d must be at least 1", s.StopSize)
 	}
-	if s.DwellMS < 1 {
-		return fmt.Errorf("jobspec: dwell_ms %d must be at least 1", s.DwellMS)
+	if err := checkSpan("dwell_ms", s.DwellMS, 1, eventsim.Millisecond); err != nil {
+		return err
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("jobspec: workers %d must not be negative", s.Workers)
 	}
-	if s.ProbeIntervalUS < 0 {
-		return fmt.Errorf("jobspec: probe_interval_us %d must not be negative", s.ProbeIntervalUS)
+	if err := checkSpan("probe_interval_us", s.ProbeIntervalUS, 0, eventsim.Microsecond); err != nil {
+		return err
 	}
-	if s.ScanIntervalMS < 0 {
-		return fmt.Errorf("jobspec: scan_interval_ms %d must not be negative", s.ScanIntervalMS)
+	if err := checkSpan("scan_interval_ms", s.ScanIntervalMS, 0, eventsim.Millisecond); err != nil {
+		return err
 	}
 	if s.Faults != "" {
 		if s.Kind == KindLossSweep {
@@ -187,6 +192,15 @@ func (s Spec) Validate() error {
 	}
 	if len(s.Rates) > 0 && s.Kind != KindLossSweep {
 		return fmt.Errorf("jobspec: rates only apply to losssweep jobs")
+	}
+	return nil
+}
+
+// checkSpan rejects a duration field of v units unless lo <= v and
+// v units fit in maxSpan.
+func checkSpan(field string, v, lo int, unit eventsim.Time) error {
+	if hi := int64(maxSpan / unit); v < lo || int64(v) > hi {
+		return fmt.Errorf("jobspec: %s %d out of range [%d, %d]", field, v, lo, hi)
 	}
 	return nil
 }

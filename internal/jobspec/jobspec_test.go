@@ -68,6 +68,12 @@ func TestDecodeRejects(t *testing.T) {
 		`{"probe_interval_us":-1}`,                 // negative probe cadence
 		`{"scan_interval_ms":-5}`,                  // negative scan cadence
 		`{"faults":"ack=NaN"}`,                     // non-finite fault rate
+		`{"dwell_ms":9223372036855}`,               // dwell overflows simulated time
+		`{"dwell_ms":3600001}`,                     // dwell past one simulated hour
+		`{"probe_interval_us":9223372036854776}`,   // probe cadence overflows simulated time
+		`{"probe_interval_us":3600000001}`,         // probe cadence past one simulated hour
+		`{"scan_interval_ms":9223372036855}`,       // scan cadence overflows simulated time
+		`{"scan_interval_ms":3600001}`,             // scan cadence past one simulated hour
 	} {
 		if _, err := Decode(strings.NewReader(bad)); err == nil {
 			t.Errorf("Decode(%s) succeeded, want error", bad)
@@ -161,14 +167,18 @@ func TestWorldConfig(t *testing.T) {
 
 // FuzzDecode holds the daemon's job-submission decoder to its contract
 // on arbitrary bodies: it never panics; a spec it accepts validates,
-// builds a world.Config, and survives a JSON re-encode and decode
-// unchanged. testdata/fuzz/FuzzDecode holds the NaN fault rate it once
-// admitted and the empty rates list that once failed the round trip.
+// builds a world.Config whose dwell is positive and whose cadences are
+// not negative, and survives a JSON re-encode and decode unchanged.
+// testdata/fuzz/FuzzDecode holds the NaN fault rate it once admitted,
+// the empty rates list that once failed the round trip, and the
+// millisecond and microsecond durations that once overflowed
+// simulated time.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{}`, `{"kind":"losssweep"}`, `{"kind":"losssweep","rates":[0,0.5,1]}`,
 		`{"seed":7,"scale":0.02,"stop_size":8,"dwell_ms":400,"workers":4,"faults":"loss=0.2,ack=0.1"}`,
 		`{"probe_interval_us":1500,"scan_interval_ms":25}`,
+		`{"dwell_ms":3600000,"probe_interval_us":3600000000,"scan_interval_ms":3600000}`,
 		`{"scale":2}`, `{"sede":7}`,
 	} {
 		f.Add(seed)
@@ -181,8 +191,13 @@ func FuzzDecode(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Decode(%q) accepted a spec Validate rejects: %v", body, err)
 		}
-		if _, err := s.WorldConfig(); err != nil {
+		cfg, err := s.WorldConfig()
+		if err != nil {
 			t.Fatalf("Decode(%q) accepted a spec WorldConfig rejects: %v", body, err)
+		}
+		if cfg.DwellPerChannel <= 0 || cfg.ProbeInterval < 0 || cfg.ActiveScanInterval < 0 {
+			t.Fatalf("Decode(%q) built durations dwell=%d probe=%d scan=%d; want dwell > 0, cadences >= 0",
+				body, int64(cfg.DwellPerChannel), int64(cfg.ProbeInterval), int64(cfg.ActiveScanInterval))
 		}
 		buf, err := json.Marshal(s)
 		if err != nil {

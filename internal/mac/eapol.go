@@ -64,7 +64,9 @@ func (s *Station) handleEAPOL(d *dot11.Data) bool {
 		return false
 	}
 	k, err := crypto80211.ParseEAPOLKey(d.Payload)
-	if err != nil {
+	if err != nil || s.psk == nil {
+		// Malformed, or sent to an open network, which has no keys to
+		// negotiate: either way a forgery.
 		s.Stats.RxDiscarded++
 		return true
 	}
@@ -77,10 +79,6 @@ func (s *Station) handleEAPOL(d *dot11.Data) bool {
 	return true
 }
 
-func (s *Station) pmk() []byte {
-	return crypto80211.PMK(s.passphrase, s.ssid)
-}
-
 // clientEAPOL handles M1 and M3.
 func (s *Station) clientEAPOL(from dot11.MAC, k *crypto80211.EAPOLKey) {
 	if from != s.bssid {
@@ -89,7 +87,7 @@ func (s *Station) clientEAPOL(from dot11.MAC, k *crypto80211.EAPOLKey) {
 	switch k.MsgNum {
 	case 1:
 		hs := &hsState{anonce: k.Nonce, snonce: s.randomNonce(), replay: k.ReplayCounter}
-		hs.ptk = crypto80211.PTK(s.pmk(), s.bssid, s.Addr, hs.anonce[:], hs.snonce[:])
+		hs.ptk = crypto80211.PTK(s.psk.PMK(s.ssid), s.bssid, s.Addr, hs.anonce[:], hs.snonce[:])
 		s.hs = hs
 		m2 := &crypto80211.EAPOLKey{MsgNum: 2, ReplayCounter: k.ReplayCounter, Nonce: hs.snonce}
 		m2.Sign(crypto80211.KCKFromPTK(hs.ptk))
@@ -131,7 +129,7 @@ func (s *Station) apEAPOL(from dot11.MAC, k *crypto80211.EAPOLKey) {
 			return
 		}
 		hs.snonce = k.Nonce
-		hs.ptk = crypto80211.PTK(s.pmk(), s.Addr, from, hs.anonce[:], hs.snonce[:])
+		hs.ptk = crypto80211.PTK(s.psk.PMK(s.ssid), s.Addr, from, hs.anonce[:], hs.snonce[:])
 		if !k.Verify(crypto80211.KCKFromPTK(hs.ptk)) {
 			// Wrong PMK (or a forgery): abort the handshake.
 			s.Stats.RxDiscarded++

@@ -82,6 +82,37 @@ func TestHandshakeNonceFreshness(t *testing.T) {
 	}
 }
 
+// TestSharedPSKDerivesOnce: an AP and a client holding one key handle
+// complete the 4-way handshake on a single PBKDF2 derivation, and the
+// keys they install interoperate.
+func TestSharedPSKDerivesOnce(t *testing.T) {
+	m := quietMedium()
+	rng := eventsim.NewRNG(42)
+	psk := crypto80211.NewPSK("hunter2 hunter2")
+	ap := New(m, rng, Config{
+		Name: "ap", Addr: apAddr, Role: RoleAP, Profile: ProfileGenericAP,
+		SSID: "HomeNet", PSK: psk,
+		Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
+	})
+	cl := New(m, rng, Config{
+		Name: "client", Addr: clientAddr, Role: RoleClient, Profile: ProfileGenericClient,
+		SSID: "HomeNet", PSK: psk,
+		Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
+	})
+	ok := false
+	cl.Associate(apAddr, func(v bool) { ok = v })
+	m.Sched.RunFor(300 * eventsim.Millisecond)
+	if !ok || cl.Session() == nil {
+		t.Fatal("4-way handshake did not complete")
+	}
+	if p := ap.clients[clientAddr]; p == nil || p.session == nil || !bytes.Equal(p.session.TK(), cl.Session().TK()) {
+		t.Fatal("AP and client installed different temporal keys")
+	}
+	if got := psk.Derivations(); got != 1 {
+		t.Fatalf("PBKDF2 derivations = %d, want 1", got)
+	}
+}
+
 // TestHandshakeWrongPassphraseFails: a client configured with the
 // wrong passphrase completes 802.11 auth/assoc but its M2 MIC fails
 // at the AP, so no keys are ever installed.
@@ -90,12 +121,12 @@ func TestHandshakeWrongPassphraseFails(t *testing.T) {
 	rng := eventsim.NewRNG(42)
 	ap := New(m, rng, Config{
 		Name: "ap", Addr: apAddr, Role: RoleAP, Profile: ProfileGenericAP,
-		SSID: "HomeNet", Passphrase: "the right passphrase",
+		SSID: "HomeNet", PSK: crypto80211.NewPSK("the right passphrase"),
 		Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
 	})
 	cl := New(m, rng, Config{
 		Name: "client", Addr: clientAddr, Role: RoleClient, Profile: ProfileGenericClient,
-		SSID: "HomeNet", Passphrase: "WRONG passphrase",
+		SSID: "HomeNet", PSK: crypto80211.NewPSK("WRONG passphrase"),
 		Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
 	})
 	result := -1
@@ -154,6 +185,50 @@ func TestHandshakeForgedM3Rejected(t *testing.T) {
 	}
 	if n.client.Stats.RxDiscarded == 0 {
 		t.Fatal("forged M3 not counted as discarded")
+	}
+}
+
+// TestOpenNetworkDiscardsEAPOL: a key message injected at a client of
+// an open network has no handshake to join and is discarded.
+func TestOpenNetworkDiscardsEAPOL(t *testing.T) {
+	m := quietMedium()
+	rng := eventsim.NewRNG(42)
+	New(m, rng, Config{
+		Name: "ap", Addr: apAddr, Role: RoleAP, Profile: ProfileGenericAP,
+		SSID: "OpenNet", Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
+	})
+	cl := New(m, rng, Config{
+		Name: "client", Addr: clientAddr, Role: RoleClient, Profile: ProfileGenericClient,
+		SSID: "OpenNet", Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
+	})
+	ok := false
+	cl.Associate(apAddr, func(v bool) { ok = v })
+	m.Sched.RunFor(300 * eventsim.Millisecond)
+	if !ok {
+		t.Fatal("open association failed")
+	}
+	m1 := &crypto80211.EAPOLKey{MsgNum: 1, ReplayCounter: 1}
+	wire, err := dot11.Serialize(&dot11.Data{
+		Header: dot11.Header{
+			FC:    dot11.FrameControl{FromDS: true},
+			Addr1: clientAddr, Addr2: apAddr, Addr3: apAddr,
+		},
+		Payload: m1.Marshal(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacker := m.NewRadio("attacker", radio.Position{X: 10}, phy.Band2GHz, 6)
+	before := cl.Stats.RxDiscarded
+	if _, err := attacker.Transmit(wire, phy.Rate24); err != nil {
+		t.Fatal(err)
+	}
+	m.Sched.RunFor(50 * eventsim.Millisecond)
+	if cl.Stats.RxDiscarded == before {
+		t.Fatal("key message on an open network not discarded")
+	}
+	if cl.Session() != nil {
+		t.Fatal("open-network client installed a session")
 	}
 }
 

@@ -3,6 +3,7 @@ package mac
 import (
 	"testing"
 
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/phy"
@@ -40,14 +41,15 @@ func newTestNet(t *testing.T, apProfile, clProfile ChipsetProfile) *testNet {
 	m := quietMedium()
 	rng := eventsim.NewRNG(42)
 	n := &testNet{m: m, sched: m.Sched}
+	psk := crypto80211.NewPSK("hunter2 hunter2")
 	n.ap = New(m, rng, Config{
 		Name: "ap", Addr: apAddr, Role: RoleAP, Profile: apProfile,
-		SSID: "HomeNet", Passphrase: "hunter2 hunter2",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{X: 0}, Band: phy.Band2GHz, Channel: 6,
 	})
 	n.client = New(m, rng, Config{
 		Name: "client", Addr: clientAddr, Role: RoleClient, Profile: clProfile,
-		SSID: "HomeNet", Passphrase: "hunter2 hunter2",
+		SSID: "HomeNet", PSK: psk,
 		Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
 	})
 	// Attacker: a raw monitor-mode radio 10 m away that never ACKs.

@@ -3,6 +3,7 @@ package mac
 import (
 	"testing"
 
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/phy"
@@ -15,14 +16,15 @@ func newPMFNet(t *testing.T, pmf bool) *testNet {
 	m := quietMedium()
 	rng := eventsim.NewRNG(42)
 	n := &testNet{m: m, sched: m.Sched}
+	psk := crypto80211.NewPSK("hunter2 hunter2")
 	n.ap = New(m, rng, Config{
 		Name: "ap", Addr: apAddr, Role: RoleAP, Profile: ProfileGenericAP,
-		SSID: "HomeNet", Passphrase: "hunter2 hunter2", PMF: pmf,
+		SSID: "HomeNet", PSK: psk, PMF: pmf,
 		Position: radio.Position{X: 0}, Band: phy.Band2GHz, Channel: 6,
 	})
 	n.client = New(m, rng, Config{
 		Name: "client", Addr: clientAddr, Role: RoleClient, Profile: ProfileGenericClient,
-		SSID: "HomeNet", Passphrase: "hunter2 hunter2", PMF: pmf,
+		SSID: "HomeNet", PSK: psk, PMF: pmf,
 		Position: radio.Position{X: 5}, Band: phy.Band2GHz, Channel: 6,
 	})
 	n.attacker = m.NewRadio("attacker", radio.Position{X: 10}, phy.Band2GHz, 6)

@@ -13,15 +13,15 @@ import (
 
 // Config describes a station to create.
 type Config struct {
-	Name       string
-	Addr       dot11.MAC
-	Role       Role
-	Profile    ChipsetProfile
-	SSID       string // network name (APs beacon it; clients use it for PMK)
-	Passphrase string // WPA2-Personal passphrase; empty = open network
-	Position   radio.Position
-	Band       phy.Band
-	Channel    int
+	Name     string
+	Addr     dot11.MAC
+	Role     Role
+	Profile  ChipsetProfile
+	SSID     string           // network name (APs beacon it; clients use it for PMK)
+	PSK      *crypto80211.PSK // WPA2-Personal key, shared by the network's stations; nil = open network
+	Position radio.Position
+	Band     phy.Band
+	Channel  int
 	// BeaconIntervalTU is the AP beacon period in time units
 	// (defaults to 100 TU = 102.4 ms).
 	BeaconIntervalTU uint16
@@ -49,9 +49,9 @@ type Station struct {
 	rng   *eventsim.RNG
 	band  phy.Band
 
-	ssid       string
-	passphrase string
-	pmf        bool
+	ssid string
+	psk  *crypto80211.PSK
+	pmf  bool
 
 	seq uint16
 
@@ -156,8 +156,8 @@ func New(m *radio.Medium, rng *eventsim.RNG, cfg Config) *Station {
 		rng:        rng,
 		band:       cfg.Band,
 		ssid:       cfg.SSID,
-		passphrase: cfg.Passphrase,
-		pmf:        cfg.PMF && cfg.Passphrase != "", // PMF needs keys
+		psk:        cfg.PSK,
+		pmf:        cfg.PMF && cfg.PSK != nil, // PMF needs keys
 		clients:    make(map[dot11.MAC]*peer),
 		blocklist:  make(map[dot11.MAC]bool),
 		dupCache:   make(map[dot11.MAC]uint16),
@@ -178,7 +178,7 @@ func New(m *radio.Medium, rng *eventsim.RNG, cfg Config) *Station {
 	}
 	s.Radio = m.NewRadio(cfg.Name, cfg.Position, cfg.Band, cfg.Channel)
 	s.Radio.SetHandler(s.onReceive)
-	if cfg.Passphrase != "" {
+	if cfg.PSK != nil {
 		s.rsnIE = dot11.RSNElement()
 	}
 	if cfg.Role == RoleAP {
@@ -679,7 +679,7 @@ func (s *Station) processData(d *dot11.Data, rx radio.Reception) {
 		s.deliverMaybeFragment(&cp, rx)
 		return
 	}
-	if s.passphrase != "" {
+	if s.psk != nil {
 		// Unencrypted data on an RSN network is never legitimate.
 		s.Stats.RxDiscarded++
 		return
@@ -758,12 +758,12 @@ func (s *Station) sendBeacon() {
 	if len(bufferedAIDs) > 0 {
 		ies = append(ies, dot11.TIMElement(0, 1, bufferedAIDs))
 	}
-	if s.passphrase != "" {
+	if s.psk != nil {
 		ies = append(ies, s.rsnIE)
 	}
 	s.beaconIEs = ies[:s.nBeaconIEs]
 	cap := dot11.CapESS
-	if s.passphrase != "" {
+	if s.psk != nil {
 		cap |= dot11.CapPrivacy
 	}
 	s.beaconFrame = dot11.Beacon{
@@ -832,7 +832,7 @@ func (s *Station) Associate(bssid dot11.MAC, done func(ok bool)) {
 		// On RSN networks the join is only complete once the 4-way
 		// handshake installed keys; 802.11 association alone (e.g.
 		// with a wrong passphrase) is a failure.
-		if !s.associated || (s.passphrase != "" && s.session == nil) {
+		if !s.associated || (s.psk != nil && s.session == nil) {
 			s.associated = false
 			s.finishAssoc(false)
 		}
@@ -906,7 +906,7 @@ func (s *Station) processAssocReq(a *dot11.AssocReq) {
 		AID:        p.aid,
 	}
 	s.enqueue(s.newTxJob(resp, true, defaultDataRate))
-	if s.passphrase != "" {
+	if s.psk != nil {
 		s.startHandshake(a.Addr2)
 	}
 }
@@ -917,7 +917,7 @@ func (s *Station) processAssocResp(a *dot11.AssocResp) {
 	}
 	s.aid = a.AID
 	s.associated = true
-	if s.passphrase != "" {
+	if s.psk != nil {
 		// RSN: the join completes when the 4-way handshake installs
 		// the temporal key (clientEAPOL message 3).
 		return

@@ -292,27 +292,52 @@ func qfunc(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
 }
 
+// Coding-gain classes: BER's effective gain depends on the rate's
+// code rate, which the legacy OFDM rates identify by Mbps.
+const (
+	gainNone   = iota // uncoded: DSSS and HT
+	gainHalf          // rate 1/2: 6, 12, 24 Mbps
+	gainThreeQ        // rate 3/4: 9, 18, 36 Mbps (and 48 Mbps, 2/3)
+	gain54            // 54 Mbps
+	numGainClasses
+)
+
+// gainClass maps a rate to its coding-gain class.
+func gainClass(r Rate) int {
+	switch r.Mbps {
+	case 6, 12, 24:
+		return gainHalf
+	case 9, 18, 36, 48:
+		return gainThreeQ
+	case 54:
+		return gain54
+	}
+	return gainNone
+}
+
+// codingGain is each class's effective coding gain as a linear SNR
+// factor: math.Pow(10, dB/10), evaluated once at init rather than on
+// every BER call, so BER's products keep the same bits.
+var codingGain = func() (g [numGainClasses]float64) {
+	for c, dB := range [numGainClasses]float64{gainNone: 0, gainHalf: 4.0, gainThreeQ: 3.0, gain54: 2.5} {
+		g[c] = math.Pow(10, dB/10)
+	}
+	return g
+}()
+
 // BER returns the approximate coded bit error rate at the given SNR
 // (dB) for the rate's modulation. The formulas are the standard AWGN
 // uncoded expressions with an effective coding gain folded in; they
 // produce the familiar waterfall shape that places the 6 Mbps
 // sensitivity near -92 dBm and 54 Mbps near -74 dBm.
 func BER(r Rate, snrDB float64) float64 {
-	snr := math.Pow(10, snrDB/10)
-	// Effective coding gain (dB) by code rate.
-	var gain float64
-	switch r.Mbps {
-	case 6, 12, 24:
-		gain = 4.0 // rate 1/2
-	case 9, 18, 36, 48:
-		gain = 3.0 // rate 3/4 (48 uses 2/3)
-	case 54:
-		gain = 2.5
-	default:
-		gain = 0
-	}
-	snr *= math.Pow(10, gain/10)
-	switch r.Mod {
+	return ber(r.Mod, math.Pow(10, snrDB/10)*codingGain[gainClass(r)])
+}
+
+// ber is BER's formula on a linear SNR that already carries the
+// coding gain.
+func ber(mod Modulation, snr float64) float64 {
+	switch mod {
 	case ModDSSS, ModBPSK:
 		return qfunc(math.Sqrt(2 * snr))
 	case ModQPSK:
@@ -325,9 +350,31 @@ func BER(r Rate, snrDB float64) float64 {
 	return 0.5
 }
 
+// zeroFERdB[mod][class] is the lowest SNR on a 0.25 dB grid at which
+// BER drops below 1e-18. That is under 2^-54, so 1-ber rounds to
+// exactly 1 and FER's formula yields exactly 0 for any frame length
+// at or above it (BER falls monotonically with SNR). FER returns that
+// 0 without evaluating BER's Pow/Erfc: most deliveries in a drive are
+// high-SNR ACKs and short frames.
+var zeroFERdB = func() (th [Mod64QAM + 1][numGainClasses]float64) {
+	for mod := range th {
+		for c := range th[mod] {
+			dB := -40.0
+			for ber(Modulation(mod), math.Pow(10, dB/10)*codingGain[c]) >= 1e-18 {
+				dB += 0.25
+			}
+			th[mod][c] = dB
+		}
+	}
+	return th
+}()
+
 // FER returns the frame error rate for a frame of length bytes at the
 // given SNR, assuming independent bit errors.
 func FER(r Rate, snrDB float64, length int) float64 {
+	if uint(r.Mod) < uint(len(zeroFERdB)) && snrDB >= zeroFERdB[r.Mod][gainClass(r)] {
+		return 0
+	}
 	ber := BER(r, snrDB)
 	if ber <= 0 {
 		return 0

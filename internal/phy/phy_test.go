@@ -306,3 +306,100 @@ func BenchmarkFER(b *testing.B) {
 		FER(Rate54, 25, 1500)
 	}
 }
+
+// oracleBER and oracleFER are the link curves as written before the
+// coding-gain table and the exact-zero threshold: both Pow calls on
+// every BER, the full formula on every FER.
+func oracleBER(r Rate, snrDB float64) float64 {
+	snr := math.Pow(10, snrDB/10)
+	var gain float64
+	switch r.Mbps {
+	case 6, 12, 24:
+		gain = 4.0
+	case 9, 18, 36, 48:
+		gain = 3.0
+	case 54:
+		gain = 2.5
+	default:
+		gain = 0
+	}
+	snr *= math.Pow(10, gain/10)
+	switch r.Mod {
+	case ModDSSS, ModBPSK:
+		return qfunc(math.Sqrt(2 * snr))
+	case ModQPSK:
+		return qfunc(math.Sqrt(snr))
+	case Mod16QAM:
+		return 0.75 * qfunc(math.Sqrt(snr/5))
+	case Mod64QAM:
+		return 7.0 / 12 * qfunc(math.Sqrt(snr/21))
+	}
+	return 0.5
+}
+
+func oracleFER(r Rate, snrDB float64, length int) float64 {
+	ber := oracleBER(r, snrDB)
+	if ber <= 0 {
+		return 0
+	}
+	if ber >= 0.5 {
+		return 1
+	}
+	fer := 1 - math.Pow(1-ber, float64(8*length))
+	if fer < 0 {
+		return 0
+	}
+	if fer > 1 {
+		return 1
+	}
+	return fer
+}
+
+// TestFERZeroAboveExact holds BER and FER bit-equal to the original
+// formulas for every rate the simulator knows, across −40…120 dB in
+// 0.001 dB steps, on both sides of every exact-zero threshold, and at
+// NaN and ±Inf: the short-circuit may only skip work, never change a
+// result.
+func TestFERZeroAboveExact(t *testing.T) {
+	rates := append([]Rate{Rate1, Rate2, Rate5x5, Rate11}, OFDMRates...)
+	rates = append(rates, htRates...)
+	if len(rates) != 20 {
+		t.Fatalf("%d rates, want 20", len(rates))
+	}
+	lengths := []int{0, 1, 14, 100, 1500, 4000}
+	check := func(r Rate, snr float64) {
+		if got, want := BER(r, snr), oracleBER(r, snr); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("BER(%v, %v) = %v, oracle %v", r, snr, got, want)
+		}
+		for _, n := range lengths {
+			if got, want := FER(r, snr, n), oracleFER(r, snr, n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("FER(%v, %v, %d) = %v, oracle %v", r, snr, n, got, want)
+			}
+		}
+	}
+	for _, r := range rates {
+		for i := 0; i <= 160000; i++ {
+			check(r, float64(i)/1000-40)
+		}
+		th := zeroFERdB[r.Mod][gainClass(r)]
+		for _, snr := range []float64{
+			math.Nextafter(th, math.Inf(-1)), th, math.Nextafter(th, math.Inf(1)),
+			math.NaN(), math.Inf(1), math.Inf(-1),
+		} {
+			check(r, snr)
+		}
+	}
+	// Unknown modulations take the formula's 0.5 fallback.
+	for _, mod := range []Modulation{-1, Mod64QAM + 1} {
+		for _, snr := range []float64{-40, 0, 120, math.NaN(), math.Inf(1)} {
+			check(Rate{Mbps: 54, Mod: mod}, snr)
+		}
+	}
+	for mod := range zeroFERdB {
+		for c, th := range zeroFERdB[mod] {
+			if th <= -40 || th > 60 {
+				t.Errorf("zeroFERdB[%d][%d] = %v dB, outside the link budget", mod, c, th)
+			}
+		}
+	}
+}

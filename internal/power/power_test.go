@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/mac"
@@ -137,15 +138,16 @@ func TestAttachedMeterIdleBaseline(t *testing.T) {
 	med := radio.NewMedium(sched, rng, radio.Config{
 		PathLoss: radio.LogDistance{Exponent: 2.0},
 	})
+	psk := crypto80211.NewPSK("passpasspass")
 	ap := mac.New(med, rng, mac.Config{
 		Name: "ap", Addr: dot11.MustMAC("f2:6e:0b:00:00:01"), Role: mac.RoleAP,
-		Profile: mac.ProfileGenericAP, SSID: "iot", Passphrase: "passpasspass",
+		Profile: mac.ProfileGenericAP, SSID: "iot", PSK: psk,
 		Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
 	})
 	_ = ap
 	victim := mac.New(med, rng, mac.Config{
 		Name: "esp", Addr: dot11.MustMAC("ec:fa:bc:00:00:02"), Role: mac.RoleClient,
-		Profile: mac.ProfileESP8266, SSID: "iot", Passphrase: "passpasspass",
+		Profile: mac.ProfileESP8266, SSID: "iot", PSK: psk,
 		Position: radio.Position{X: 4}, Band: phy.Band2GHz, Channel: 6,
 	})
 	ok := false

@@ -76,13 +76,13 @@ func RestoreRegistry(rep Report) (*Registry, error) {
 		counts := make([]uint64, 0, len(hs.Buckets))
 		seenInf := false
 		for _, b := range hs.Buckets {
+			if seenInf {
+				return nil, fmt.Errorf("telemetry: histogram %q has buckets after +Inf", hs.Name)
+			}
 			if b.LE == "+Inf" {
 				seenInf = true
 				counts = append(counts, b.Count)
 				continue
-			}
-			if seenInf {
-				return nil, fmt.Errorf("telemetry: histogram %q has buckets after +Inf", hs.Name)
 			}
 			bound, err := strconv.ParseFloat(b.LE, 64)
 			if err != nil {
@@ -90,7 +90,12 @@ func RestoreRegistry(rep Report) (*Registry, error) {
 			}
 			// Bounds must ascend strictly: Histogram's bucket search and
 			// MergeFrom both assume it, and a mangled bound would
-			// otherwise fold silently into the wrong bucket.
+			// otherwise fold silently into the wrong bucket. A NaN
+			// bound compares unequal even to itself, which MergeFrom
+			// takes for a bounds mismatch and panics on.
+			if math.IsNaN(bound) {
+				return nil, fmt.Errorf("telemetry: histogram %q bucket bound is NaN", hs.Name)
+			}
 			if n := len(bounds); n > 0 && bound <= bounds[n-1] {
 				return nil, fmt.Errorf("telemetry: histogram %q bucket bounds not ascending (%g after %g)",
 					hs.Name, bound, bounds[n-1])

@@ -78,7 +78,8 @@ func TestRestoreRegistryRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRegistryRejectsBadInput pins the error paths: wrong
-// schema, malformed bucket bounds, missing overflow bucket.
+// schema, malformed or NaN bucket bounds, a missing or repeated
+// overflow bucket.
 func TestRestoreRegistryRejectsBadInput(t *testing.T) {
 	if _, err := RestoreRegistry(Report{Schema: "bogus/v9"}); err == nil {
 		t.Fatal("foreign schema accepted")
@@ -88,6 +89,18 @@ func TestRestoreRegistryRejectsBadInput(t *testing.T) {
 	}}}
 	if _, err := RestoreRegistry(bad); err == nil {
 		t.Fatal("unparseable bound accepted")
+	}
+	nan := Report{Schema: ReportSchema, Histograms: []HistogramSnapshot{{
+		Name: "h", Count: 1, Buckets: []HistogramBucket{{LE: "NaN", Count: 1}, {LE: "+Inf"}},
+	}}}
+	if _, err := RestoreRegistry(nan); err == nil {
+		t.Fatal("NaN bound accepted")
+	}
+	twoInf := Report{Schema: ReportSchema, Histograms: []HistogramSnapshot{{
+		Name: "h", Buckets: []HistogramBucket{{LE: "5", Count: 1}, {LE: "+Inf"}, {LE: "+Inf", Count: 2}},
+	}}}
+	if _, err := RestoreRegistry(twoInf); err == nil {
+		t.Fatal("second +Inf bucket accepted")
 	}
 	noInf := Report{Schema: ReportSchema, Histograms: []HistogramSnapshot{{
 		Name: "h", Buckets: []HistogramBucket{{LE: "5", Count: 1}},

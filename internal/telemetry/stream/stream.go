@@ -330,10 +330,8 @@ func Fold(r io.Reader) (*FoldResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Add's errors name the offending stop index themselves; only
-		// decode-level failures need the byte-offset wrapper.
 		if err := f.Add(rec); err != nil {
-			return nil, err
+			return nil, &PosError{Record: d.Decoded() - 1, Offset: d.Offset(), Err: err}
 		}
 	}
 	return f.Result(), nil

@@ -23,6 +23,7 @@ import (
 
 	"politewifi/internal/arena"
 	"politewifi/internal/core"
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/faults"
@@ -783,9 +784,15 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 	devices := make([]liveDev, 0, nDevs)
 
 	for _, h := range stop.Households {
+		// One key handle per protected household: the AP and its
+		// clients share one PBKDF2 derivation.
+		var psk *crypto80211.PSK
+		if h.Passphrase != "" {
+			psk = crypto80211.NewPSK(h.Passphrase)
+		}
 		ap := mac.New(med, rng.Fork(), mac.Config{
 			Name: "ap-" + h.AP.MAC.String(), Addr: h.AP.MAC, Role: mac.RoleAP,
-			Profile: h.AP.Profile, SSID: h.AP.SSID, Passphrase: h.Passphrase,
+			Profile: h.AP.Profile, SSID: h.AP.SSID, PSK: psk,
 			Position: h.Pos, Band: h.Band, Channel: h.Channel,
 		})
 		ap.SetMetrics(macMx)
@@ -799,7 +806,7 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 			pos := radio.Position{X: h.Pos.X + cl.Offset.X, Y: h.Pos.Y + cl.Offset.Y, Z: cl.Offset.Z}
 			st := mac.New(med, rng.Fork(), mac.Config{
 				Name: "cl-" + cl.MAC.String(), Addr: cl.MAC, Role: mac.RoleClient,
-				Profile: cl.Profile, SSID: cl.SSID, Passphrase: h.Passphrase,
+				Profile: cl.Profile, SSID: cl.SSID, PSK: psk,
 				Position: pos, Band: h.Band, Channel: h.Channel,
 			})
 			st.SetMetrics(macMx)
