@@ -122,52 +122,101 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 }
 
-// TestFramelogGolden pins the exact frame-log bytes of a small seeded
-// drive — the serialized politewifi.framelog/v1 format is part of the
-// repo's compatibility surface. Regenerate with:
+// TestFramelogGolden pins the exact frame-log bytes of small seeded
+// drives — the serialized politewifi.framelog/v1 format is part of the
+// repo's compatibility surface. The fault-free case is the untraced
+// baseline; the faulted case runs on a hostile channel with a tracer
+// attached, so its log carries every optional key (busy, consulted,
+// drop, label, exchange) and is recorded at two worker counts that
+// must agree. Regenerate with:
 // go test ./internal/world -run FramelogGolden -update
 func TestFramelogGolden(t *testing.T) {
-	cfg := Config{
-		Seed:              7,
-		Scale:             0.004,
-		HouseholdsPerStop: 4,
-		DwellPerChannel:   100 * eventsim.Millisecond,
-		Workers:           2,
-	}
-	var buf bytes.Buffer
-	rec := replay.NewRecorder(&buf)
-	rec.SetSpec([]byte(`{"kind":"drive","seed":7,"scale":0.004,"stop_size":4,"dwell_ms":100}`))
-	cfg.Record = rec
-	Run(cfg)
-	if err := rec.Err(); err != nil {
-		t.Fatalf("recorder error: %v", err)
-	}
+	for _, tc := range []struct {
+		name    string
+		golden  string
+		spec    string
+		faults  string
+		trace   bool
+		workers []int
+	}{
+		{
+			name:    "fault-free",
+			golden:  "framelog_golden.ndjson",
+			spec:    `{"kind":"drive","seed":7,"scale":0.004,"stop_size":4,"dwell_ms":100}`,
+			workers: []int{2},
+		},
+		{
+			name:    "faulted-traced",
+			golden:  "framelog_faulted_golden.ndjson",
+			spec:    `{"kind":"drive","seed":7,"scale":0.004,"stop_size":4,"dwell_ms":100,"faults":"loss=0.3,ack=0.1,jam=0.2,deaf=0.1"}`,
+			faults:  "loss=0.3,ack=0.1,jam=0.2,deaf=0.1",
+			trace:   true,
+			workers: []int{1, 4},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Seed:              7,
+				Scale:             0.004,
+				HouseholdsPerStop: 4,
+				DwellPerChannel:   100 * eventsim.Millisecond,
+			}
+			if tc.faults != "" {
+				fc, err := faults.ParseSpec(tc.faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Faults = &fc
+			}
+			var got []byte
+			for _, workers := range tc.workers {
+				cfg.Workers = workers
+				if tc.trace {
+					cfg.Trace = telemetry.NewTracer()
+				}
+				var buf bytes.Buffer
+				rec := replay.NewRecorder(&buf)
+				rec.SetSpec([]byte(tc.spec))
+				cfg.Record = rec
+				Run(cfg)
+				if err := rec.Err(); err != nil {
+					t.Fatalf("workers=%d: recorder error: %v", workers, err)
+				}
+				if got != nil && !bytes.Equal(buf.Bytes(), got) {
+					t.Fatalf("workers=%d: frame log differs from workers=%d (%d vs %d bytes)",
+						workers, tc.workers[0], buf.Len(), len(got))
+				}
+				got = buf.Bytes()
+			}
 
-	golden := filepath.Join("testdata", "framelog_golden.ndjson")
-	if *updateGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("frame log diverged from golden (%d vs %d bytes); if the format "+
-			"intentionally changed, regenerate with -update", buf.Len(), len(want))
-	}
+			golden := filepath.Join("testdata", tc.golden)
+			if *updateGolden {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("frame log diverged from golden (%d vs %d bytes); if the format "+
+					"intentionally changed, regenerate with -update", len(got), len(want))
+			}
 
-	// The golden log must replay cleanly against its own config.
-	log, err := replay.Load(bytes.NewReader(want))
-	if err != nil {
-		t.Fatalf("load golden: %v", err)
-	}
-	cfg.Record = nil
-	cfg.Replay = log
-	Run(cfg)
-	if err := log.Err(); err != nil {
-		t.Fatalf("golden log does not replay cleanly: %v", err)
+			// The golden log must replay cleanly against its own config.
+			log, err := replay.Load(bytes.NewReader(want))
+			if err != nil {
+				t.Fatalf("load golden: %v", err)
+			}
+			cfg.Record = nil
+			cfg.Trace = nil
+			cfg.Replay = log
+			Run(cfg)
+			if err := log.Err(); err != nil {
+				t.Fatalf("golden log does not replay cleanly: %v", err)
+			}
+		})
 	}
 }
 
