@@ -19,6 +19,7 @@
 package replay
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -86,10 +87,10 @@ func (e *DivergenceError) Error() string {
 		e.Stop, e.Record, e.Offset, e.Msg)
 }
 
-// Recorder streams a drive's frame log as NDJSON. Like stream.Writer,
-// the first underlying error latches — recording must never alter the
-// drive result — and is reported by Err. A nil *Recorder is a valid
-// no-op so callers can write unconditionally.
+// Recorder streams a drive's frame log as NDJSON, one Write per stop.
+// Like stream.Writer, the first underlying error latches — recording
+// must never alter the drive result — and is reported by Err. A nil
+// *Recorder is a valid no-op so callers can write unconditionally.
 type Recorder struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -97,6 +98,7 @@ type Recorder struct {
 	began   bool
 	err     error
 	records int
+	buf     []byte // one stop's encoded lines, reused across stops
 }
 
 // NewRecorder wraps w as a frame-log recorder.
@@ -128,12 +130,13 @@ func (r *Recorder) Begin(stops int) {
 		return
 	}
 	r.began = true
-	r.writeLine(Head{Schema: Schema, Stops: stops, Spec: r.spec})
+	r.writeHead(Head{Schema: Schema, Stops: stops, Spec: r.spec})
 }
 
-// WriteStop appends one stop's records, in their recorded order. The
-// world's ordered merge calls this stop-index-ascending, so the log
-// bytes are identical at any worker count.
+// WriteStop appends one stop's records, in their recorded order, with
+// a single Write. The world's ordered merge calls this
+// stop-index-ascending, so the log bytes are identical at any worker
+// count. The stop's records count once the Write succeeds.
 func (r *Recorder) WriteStop(sl *StopLog) {
 	if r == nil || sl == nil {
 		return
@@ -144,31 +147,38 @@ func (r *Recorder) WriteStop(sl *StopLog) {
 		r.fail(errors.New("framelog: WriteStop before Begin"))
 		return
 	}
+	if r.err != nil {
+		return
+	}
+	buf := r.buf[:0]
 	for i := range sl.recs {
-		if !r.writeLine(&sl.recs[i]) {
+		var err error
+		if buf, err = appendRecord(buf, &sl.recs[i]); err != nil {
+			r.fail(err)
 			return
 		}
-		r.records++
+		buf = append(buf, '\n')
 	}
-}
-
-// writeLine marshals v as one NDJSON line; errors latch. Caller holds
-// the mutex.
-func (r *Recorder) writeLine(v any) bool {
-	if r.err != nil {
-		return false
-	}
-	buf, err := json.Marshal(v)
-	if err != nil {
-		r.fail(err)
-		return false
-	}
-	buf = append(buf, '\n')
+	r.buf = buf
 	if _, err := r.w.Write(buf); err != nil {
 		r.fail(err)
-		return false
+		return
 	}
-	return true
+	r.records += len(sl.recs)
+}
+
+// writeHead marshals the head record as one NDJSON line; errors latch.
+// The head stays on encoding/json because its spec is arbitrary
+// jobspec JSON. Caller holds the mutex.
+func (r *Recorder) writeHead(h Head) {
+	buf, err := json.Marshal(h)
+	if err != nil {
+		r.fail(err)
+		return
+	}
+	if _, err := r.w.Write(append(buf, '\n')); err != nil {
+		r.fail(err)
+	}
 }
 
 func (r *Recorder) fail(err error) {
@@ -247,27 +257,35 @@ type Log struct {
 	setup error         // pre-replay failure (spec/stop-count mismatch)
 }
 
-// Load parses a frame log. Head validation failures and malformed
-// records return a *PosError; a loaded Log is structurally sound (every
-// record is a well-formed TX xor CCA with an in-range stop index).
+// Load parses a frame log, streaming it one line at a time. The head
+// line is decoded as JSON; every record line after it must match the
+// exact grammar Recorder writes (see codec.go). Head validation
+// failures and malformed records return a *PosError; a loaded Log is
+// structurally sound (every record is a well-formed TX xor CCA with an
+// in-range stop index).
 func Load(r io.Reader) (*Log, error) {
-	dec := json.NewDecoder(r)
+	lr := lineReader{br: bufio.NewReaderSize(r, 64<<10)}
+	line, err := lr.next()
+	if err != nil {
+		return nil, &PosError{Record: 0, Offset: lr.off, Err: err}
+	}
+	if len(line) == 0 && lr.eof {
+		return nil, &PosError{Record: 0, Offset: 0, Err: errors.New("empty log")}
+	}
+	end := int64(len(line))
 	var head Head
-	if err := dec.Decode(&head); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = errors.New("empty log")
-		}
-		return nil, &PosError{Record: 0, Offset: dec.InputOffset(), Err: err}
+	if err := json.Unmarshal(line, &head); err != nil {
+		return nil, &PosError{Record: 0, Offset: end, Err: err}
 	}
 	if head.Schema != Schema {
 		return nil, &PosError{
-			Record: 0, Offset: dec.InputOffset(),
+			Record: 0, Offset: end,
 			Err: fmt.Errorf("head schema %q (want %q)", head.Schema, Schema),
 		}
 	}
 	if head.Stops < 0 {
 		return nil, &PosError{
-			Record: 0, Offset: dec.InputOffset(),
+			Record: 0, Offset: end,
 			Err: fmt.Errorf("head claims %d stops", head.Stops),
 		}
 	}
@@ -276,18 +294,24 @@ func Load(r io.Reader) (*Log, error) {
 		stops: make(map[int][]logRec),
 		errs:  make(map[int]error),
 	}
+	d := &decoder{names: make(map[string]string)}
 	for n := 1; ; n++ {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
+		start := lr.off
+		line, err := lr.next()
+		if err != nil {
+			return nil, &PosError{Record: n, Offset: lr.off, Err: err}
+		}
+		if len(line) == 0 && lr.eof {
+			return l, nil
+		}
+		off := start + int64(len(line))
+		rec, err := d.record(line)
+		if err != nil {
+			if lr.eof {
 				err = fmt.Errorf("truncated record: %w", err)
 			}
-			return nil, &PosError{Record: n, Offset: dec.InputOffset(), Err: err}
+			return nil, &PosError{Record: n, Offset: start + int64(d.errAt), Err: err}
 		}
-		off := dec.InputOffset()
 		if rec.Stop < 0 || rec.Stop >= head.Stops {
 			return nil, &PosError{
 				Record: n, Offset: off,
@@ -302,7 +326,39 @@ func Load(r io.Reader) (*Log, error) {
 		}
 		l.stops[rec.Stop] = append(l.stops[rec.Stop], logRec{rec: rec, index: n, offset: off})
 	}
-	return l, nil
+}
+
+// lineReader yields a log's lines without their newlines, tracking the
+// byte offset of the input consumed so far. The final line may lack
+// its newline.
+type lineReader struct {
+	br  *bufio.Reader
+	off int64 // bytes consumed, newlines included
+	eof bool  // the input is exhausted
+}
+
+// next returns the next line, valid until the following call. At the
+// end of the input it returns an empty line with eof set.
+func (lr *lineReader) next() ([]byte, error) {
+	line, err := lr.br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		// Longer than the buffer: copy out what was read before the
+		// next read overwrites it, then read the rest.
+		long := append([]byte(nil), line...)
+		var rest []byte
+		rest, err = lr.br.ReadBytes('\n')
+		line = append(long, rest...)
+	}
+	lr.off += int64(len(line))
+	switch {
+	case errors.Is(err, io.EOF):
+		lr.eof = true
+	case err != nil:
+		return nil, err
+	default:
+		line = line[:len(line)-1]
+	}
+	return line, nil
 }
 
 // Stops reports the head's stop count.
@@ -399,13 +455,14 @@ func (c *Cursor) Diverge(format string, args ...any) {
 }
 
 // take consumes the next record; nil after divergence or when the
-// shard is exhausted (which latches).
-func (c *Cursor) take(what string) *logRec {
+// shard is exhausted (which latches). want, src and at describe what
+// the live run asked for; they are formatted only on divergence.
+func (c *Cursor) take(want, src string, at eventsim.Time) *logRec {
 	if c.err != nil {
 		return nil
 	}
 	if c.next >= len(c.recs) {
-		c.diverge(fmt.Sprintf("log exhausted after %d records: live run still wants %s", len(c.recs), what))
+		c.diverge(fmt.Sprintf("log exhausted after %d records: live run still wants %s %q at %d", len(c.recs), want, src, at))
 		return nil
 	}
 	lr := &c.recs[c.next]
@@ -415,7 +472,7 @@ func (c *Cursor) take(what string) *logRec {
 
 // ReplayTx implements radio.FrameReplayer.
 func (c *Cursor) ReplayTx(src string, at eventsim.Time, data []byte, rate phy.Rate) (*radio.FrameTx, bool) {
-	lr := c.take(fmt.Sprintf("a transmission from %q at %d", src, at))
+	lr := c.take("a transmission from", src, at)
 	if lr == nil {
 		return nil, false
 	}
@@ -439,7 +496,7 @@ func (c *Cursor) ReplayTx(src string, at eventsim.Time, data []byte, rate phy.Ra
 
 // ReplayCCA implements radio.FrameReplayer.
 func (c *Cursor) ReplayCCA(src string, at eventsim.Time) (bool, bool) {
-	lr := c.take(fmt.Sprintf("a cca check by %q at %d", src, at))
+	lr := c.take("a cca check by", src, at)
 	if lr == nil {
 		return false, false
 	}
