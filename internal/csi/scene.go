@@ -15,6 +15,7 @@ package csi
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"politewifi/internal/eventsim"
 	"politewifi/internal/phy"
@@ -111,6 +112,13 @@ type Scene struct {
 	NoiseSigma float64
 
 	rng *eventsim.RNG
+
+	// static is the line-of-sight and wall paths' per-subcarrier sum
+	// for the geometry staticKey encodes (see staticSum).
+	static     [phy.NumSubcarriers]complex128
+	staticKey  []uint64
+	keyScratch []uint64
+	paths      []path // Measure's scratch
 }
 
 // NewScene builds the default through-the-wall sensing scene used by
@@ -143,6 +151,75 @@ type State struct {
 	Bodies []Scatterer
 }
 
+// path is one propagation path: its delay in seconds and its gain.
+type path struct {
+	delay float64
+	gain  float64
+}
+
+// bounce is the path that leaves the attacker, reflects off a
+// scatterer at p with reflectivity refl, and reaches the device.
+func (sc *Scene) bounce(p, dev Vec3, refl float64) path {
+	d1 := sc.Attacker.Dist(p)
+	d2 := p.Dist(dev)
+	if d1 < 0.1 {
+		d1 = 0.1
+	}
+	if d2 < 0.1 {
+		d2 = 0.1
+	}
+	return path{(d1 + d2) / speedOfLight, refl / (d1 * d2)}
+}
+
+// addPaths adds each path's a·exp(−j·2π·f·τ) to h, in order. The
+// exponent is purely imaginary, so exp is computed as cos + j·sin:
+// cmplx.Exp would scale both by exp(0), which is exactly 1.
+func addPaths(h complex128, f float64, paths []path) complex128 {
+	for _, p := range paths {
+		sn, cs := math.Sincos(-2 * math.Pi * f * p.delay)
+		h += complex(p.gain, 0) * complex(cs, sn)
+	}
+	return h
+}
+
+// staticSum returns the per-subcarrier sum of the line-of-sight and
+// wall paths to a device at dev. Those paths do not move while a
+// device sits still, so the sum is kept for the last geometry seen,
+// keyed bit for bit on everything it depends on: dev, Attacker,
+// CenterHz and an element-wise copy of Walls (which callers may edit
+// in place).
+func (sc *Scene) staticSum(dev Vec3) *[phy.NumSubcarriers]complex128 {
+	key := append(sc.keyScratch[:0],
+		math.Float64bits(dev.X), math.Float64bits(dev.Y), math.Float64bits(dev.Z),
+		math.Float64bits(sc.Attacker.X), math.Float64bits(sc.Attacker.Y), math.Float64bits(sc.Attacker.Z),
+		math.Float64bits(sc.CenterHz))
+	for _, w := range sc.Walls {
+		key = append(key,
+			math.Float64bits(w.Pos.X), math.Float64bits(w.Pos.Y), math.Float64bits(w.Pos.Z),
+			math.Float64bits(w.Reflectivity))
+	}
+	if slices.Equal(key, sc.staticKey) {
+		sc.keyScratch = key
+		return &sc.static
+	}
+	sc.keyScratch, sc.staticKey = sc.staticKey, key
+
+	// Line of sight, then one bounce per wall.
+	dLOS := sc.Attacker.Dist(dev)
+	if dLOS < 0.1 {
+		dLOS = 0.1
+	}
+	paths := append(sc.paths[:0], path{dLOS / speedOfLight, 1 / dLOS})
+	for _, w := range sc.Walls {
+		paths = append(paths, sc.bounce(w.Pos, dev, w.Reflectivity))
+	}
+	sc.paths = paths
+	for slot := range sc.static {
+		sc.static[slot] = addPaths(0, sc.CenterHz+phy.SubcarrierOffsetHz(slot), paths)
+	}
+	return &sc.static
+}
+
 // Measure computes the CSI sample for the given physical state at
 // time t. Channel response per subcarrier k:
 //
@@ -150,53 +227,28 @@ type State struct {
 //
 // with the line-of-sight path, one path per wall scatterer, and one
 // per body scatterer; amplitudes follow 1/d spreading with a
-// reflectivity factor for bounced paths.
+// reflectivity factor for bounced paths. The body paths are added
+// onto the static paths' cached sum, in the same order as the static
+// paths were, so the result is bit-identical to summing every path
+// afresh.
 func (sc *Scene) Measure(t float64, st State) Sample {
 	dev := sc.DeviceRest.Add(st.DeviceOffset)
+	static := sc.staticSum(dev)
 
-	type path struct {
-		delay float64 // seconds
-		gain  float64
-	}
-	var paths []path
-
-	// Line of sight.
-	dLOS := sc.Attacker.Dist(dev)
-	if dLOS < 0.1 {
-		dLOS = 0.1
-	}
-	paths = append(paths, path{dLOS / speedOfLight, 1 / dLOS})
-
-	addBounce := func(p Vec3, refl float64) {
-		d1 := sc.Attacker.Dist(p)
-		d2 := p.Dist(dev)
-		if d1 < 0.1 {
-			d1 = 0.1
-		}
-		if d2 < 0.1 {
-			d2 = 0.1
-		}
-		paths = append(paths, path{(d1 + d2) / speedOfLight, refl / (d1 * d2)})
-	}
-	for _, w := range sc.Walls {
-		addBounce(w.Pos, w.Reflectivity)
-	}
+	bodies := sc.paths[:0]
 	for _, b := range st.Bodies {
-		addBounce(sc.DeviceRest.Add(b.Pos), b.Reflectivity)
+		bodies = append(bodies, sc.bounce(sc.DeviceRest.Add(b.Pos), dev, b.Reflectivity))
 	}
+	sc.paths = bodies
 
 	var s Sample
 	s.T = t
 	for slot := 0; slot < phy.NumSubcarriers; slot++ {
-		f := sc.CenterHz + phy.SubcarrierOffsetHz(slot)
-		var h complex128
-		for _, p := range paths {
-			phase := -2 * math.Pi * f * p.delay
-			h += complex(p.gain, 0) * cmplx.Exp(complex(0, phase))
-		}
+		h := addPaths(static[slot], sc.CenterHz+phy.SubcarrierOffsetHz(slot), bodies)
 		if sc.NoiseSigma > 0 && sc.rng != nil {
-			h += complex(sc.rng.Normal(0, sc.NoiseSigma*cmplx.Abs(h)),
-				sc.rng.Normal(0, sc.NoiseSigma*cmplx.Abs(h)))
+			sigma := sc.NoiseSigma * cmplx.Abs(h)
+			re := sc.rng.Normal(0, sigma)
+			h += complex(re, sc.rng.Normal(0, sigma))
 		}
 		s.H[slot] = h
 	}

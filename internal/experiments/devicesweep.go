@@ -50,9 +50,10 @@ var deviceClasses = []struct {
 // battery lifetimes.
 func DeviceSweep(seed int64) *DeviceSweepResult {
 	out := &DeviceSweepResult{}
+	psk := homePSK()
 	for i, dc := range deviceClasses {
 		measure := func(rate float64) float64 {
-			h := newHomeNetwork(seed+int64(i)*17, mac.ProfileGenericAP, mac.ProfileESP8266)
+			h := newHomeNetwork(seed+int64(i)*17, psk, mac.ProfileGenericAP, mac.ProfileESP8266)
 			h.victim.EnablePowerSave()
 			h.sched.RunFor(500 * eventsim.Millisecond)
 			meter := power.Attach(h.victim, dc.profile)

@@ -46,9 +46,18 @@ type homeNetwork struct {
 	sniffer  *radio.Radio
 }
 
-// newHomeNetwork builds the scene. The victim's chipset profile is a
-// parameter so Table 1 can sweep it.
-func newHomeNetwork(seed int64, apProfile, victimProfile mac.ChipsetProfile) *homeNetwork {
+// homePSK returns a key handle for the home network's passphrase. An
+// experiment that builds several networks creates one handle per call
+// and shares it, so PBKDF2 runs once per call rather than once per
+// network; the PMK bytes are the same either way, and key derivation
+// costs no simulated time.
+func homePSK() *crypto80211.PSK {
+	return crypto80211.NewPSK("correct horse battery staple")
+}
+
+// newHomeNetwork builds the scene on the key handle psk. The victim's
+// chipset profile is a parameter so Table 1 can sweep it.
+func newHomeNetwork(seed int64, psk *crypto80211.PSK, apProfile, victimProfile mac.ChipsetProfile) *homeNetwork {
 	sched := eventsim.NewScheduler()
 	rng := eventsim.NewRNG(seed)
 	medium := radio.NewMedium(sched, rng.Fork(), radio.Config{
@@ -56,7 +65,6 @@ func newHomeNetwork(seed int64, apProfile, victimProfile mac.ChipsetProfile) *ho
 		CaptureMarginDB: 10,
 	})
 	h := &homeNetwork{sched: sched, medium: medium}
-	psk := crypto80211.NewPSK("correct horse battery staple")
 	h.ap = mac.New(medium, rng.Fork(), mac.Config{
 		Name: "ap", Addr: apAddr, Role: mac.RoleAP, Profile: apProfile,
 		SSID: "HomeNet", PSK: psk,

@@ -414,3 +414,19 @@ func TestDeviceSweep(t *testing.T) {
 		t.Fatal("render missing headline")
 	}
 }
+
+// TestOnePMKPerCall: an experiment that builds a network per rate or
+// per device shares one key handle across them, so PBKDF2 runs once
+// per call — not once per network (14 for Figure 6, 5 for Table 1).
+func TestOnePMKPerCall(t *testing.T) {
+	psk := homePSK()
+	figure6(seed, eventsim.Second, psk)
+	if n := psk.Derivations(); n != 1 {
+		t.Errorf("Figure 6 ran PBKDF2 %d times, want 1", n)
+	}
+	psk = homePSK()
+	table1(seed, psk)
+	if n := psk.Derivations(); n != 1 {
+		t.Errorf("Table 1 ran PBKDF2 %d times, want 1", n)
+	}
+}

@@ -29,7 +29,7 @@ type Figure2Result struct {
 // keys — sends one unencrypted null frame to the WPA2-protected
 // victim and the victim's PHY acknowledges it to the fake MAC.
 func Figure2(seed int64) *Figure2Result {
-	h := newHomeNetwork(seed, mac.ProfileGenericAP, mac.ProfileGenericClient)
+	h := newHomeNetwork(seed, homePSK(), mac.ProfileGenericAP, mac.ProfileGenericClient)
 	cap := &trace.Capture{}
 	cap.Attach(h.sniffer)
 

@@ -29,7 +29,7 @@ type Figure3Result struct {
 // Figure3 runs E3 against an AP with the deauth-on-unknown firmware
 // (the Qualcomm IPQ 4019 profile observed in the paper).
 func Figure3(seed int64) *Figure3Result {
-	h := newHomeNetwork(seed, mac.ProfileQualcommIPQ4019, mac.ProfileGenericClient)
+	h := newHomeNetwork(seed, homePSK(), mac.ProfileQualcommIPQ4019, mac.ProfileGenericClient)
 	cap := &trace.Capture{}
 	cap.Attach(h.sniffer)
 

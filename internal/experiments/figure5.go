@@ -45,7 +45,7 @@ type Figure5Result struct {
 // Figure5 runs E6: 150 fps fake-frame injection for 45 s with the
 // paper's activity script, sampling CSI from each elicited ACK.
 func Figure5(seed int64) *Figure5Result {
-	h := newHomeNetwork(seed, mac.ProfileGenericAP, mac.ProfileGenericClient)
+	h := newHomeNetwork(seed, homePSK(), mac.ProfileGenericAP, mac.ProfileGenericClient)
 	rng := eventsim.NewRNG(seed + 1000)
 	scene := csi.NewScene(rng.Fork())
 	tl := csi.Figure5Timeline(rng.Fork())

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"politewifi/internal/core"
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/mac"
 	"politewifi/internal/power"
@@ -39,12 +40,17 @@ var Figure6Rates = []float64{0, 1, 2, 5, 10, 20, 50, 100, 200, 300, 500, 700, 90
 // power-save state cannot leak between measurements; measure window
 // is `measure` seconds of simulated time per point.
 func Figure6(seed int64, measure eventsim.Time) *Figure6Result {
+	return figure6(seed, measure, homePSK())
+}
+
+// figure6 runs E7 with every rate's network on the key handle psk.
+func figure6(seed int64, measure eventsim.Time, psk *crypto80211.PSK) *Figure6Result {
 	if measure == 0 {
 		measure = 20 * eventsim.Second
 	}
 	out := &Figure6Result{}
 	for i, rate := range Figure6Rates {
-		h := newHomeNetwork(seed+int64(i)*101, mac.ProfileGenericAP, mac.ProfileESP8266)
+		h := newHomeNetwork(seed+int64(i)*101, psk, mac.ProfileGenericAP, mac.ProfileESP8266)
 		h.victim.EnablePowerSave()
 		h.sched.RunFor(500 * eventsim.Millisecond) // settle into dozing
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"politewifi/internal/core"
-	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/mac"
@@ -39,13 +38,13 @@ type PMFResult struct {
 // every Polite WiFi behaviour intact.
 func PMFStudy(seed int64) *PMFResult {
 	out := &PMFResult{}
+	psk := homePSK()
 	for _, pmf := range []bool{false, true} {
 		sched := eventsim.NewScheduler()
 		rng := eventsim.NewRNG(seed)
 		medium := radio.NewMedium(sched, rng.Fork(), radio.Config{
 			PathLoss: radio.LogDistance{Exponent: 2.2}, CaptureMarginDB: 10,
 		})
-		psk := crypto80211.NewPSK("correct horse battery staple")
 		mac.New(medium, rng.Fork(), mac.Config{
 			Name: "ap", Addr: apAddr, Role: mac.RoleAP, Profile: mac.ProfileGenericAP,
 			SSID: "HomeNet", PSK: psk, PMF: pmf,

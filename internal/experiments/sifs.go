@@ -34,7 +34,7 @@ func SIFSAnalysis(seed int64) *SIFSResult {
 	// Ablation: validating victim. Its own AP sends it legitimate
 	// traffic; every ACK misses the deadline so the AP retries and
 	// fails.
-	h := newHomeNetwork(seed, mac.ProfileGenericAP, mac.ProfileValidating)
+	h := newHomeNetwork(seed, homePSK(), mac.ProfileGenericAP, mac.ProfileValidating)
 	for i := 0; i < 5; i++ {
 		h.ap.SendData(victimAddr, []byte("legitimate protected traffic"))
 		h.sched.RunFor(100 * eventsim.Millisecond)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"politewifi/internal/core"
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/mac"
 )
@@ -31,16 +32,21 @@ type Table1Result struct {
 // modules and standards, one of them an AP) is probed with fake
 // frames while associated to (or serving) a WPA2 network.
 func Table1(seed int64) *Table1Result {
+	return table1(seed, homePSK())
+}
+
+// table1 runs E2 with every device's network on the key handle psk.
+func table1(seed int64, psk *crypto80211.PSK) *Table1Result {
 	out := &Table1Result{AllPolite: true}
 	for i, entry := range mac.Table1Profiles {
 		var h *homeNetwork
 		var target = victimAddr
 		if entry.Profile.DeauthOnUnknown {
 			// The Google Wifi AP entry: probe the AP itself.
-			h = newHomeNetwork(seed+int64(i), entry.Profile, mac.ProfileGenericClient)
+			h = newHomeNetwork(seed+int64(i), psk, entry.Profile, mac.ProfileGenericClient)
 			target = apAddr
 		} else {
-			h = newHomeNetwork(seed+int64(i), mac.ProfileGenericAP, entry.Profile)
+			h = newHomeNetwork(seed+int64(i), psk, mac.ProfileGenericAP, entry.Profile)
 		}
 		res := core.ProbeSync(h.attacker, target, core.ProbeNull, 10, 3*eventsim.Millisecond)
 		row := Table1Row{

@@ -36,8 +36,9 @@ type VitalSignsResult struct {
 // breathing rate out of the forced ACKs.
 func VitalSigns(seed int64) *VitalSignsResult {
 	out := &VitalSignsResult{Recovered: true}
+	psk := homePSK()
 	for i, bpm := range []float64{10, 14, 18, 24} {
-		h := newHomeNetwork(seed+int64(i)*7, mac.ProfileGenericAP, mac.ProfileGenericClient)
+		h := newHomeNetwork(seed+int64(i)*7, psk, mac.ProfileGenericAP, mac.ProfileGenericClient)
 		rng := eventsim.NewRNG(seed + 500 + int64(i))
 		scene := csi.NewScene(rng.Fork())
 		tl := (&csi.Timeline{}).Add(0, 60, csi.Breathing(bpm))

@@ -272,18 +272,19 @@ func checkReplay(spec jobspec.Spec, opts Options) (*replayFailure, error) {
 	return nil, nil
 }
 
-// tamperLog decodes the log's record lines, hands them to the hook, and
-// re-encodes. The head line passes through untouched; an unchanged log
-// is returned verbatim.
+// tamperLog decodes the log's record lines with the frame-log codec,
+// hands them to the hook, and re-encodes them. The head line passes
+// through untouched; an unchanged log is returned verbatim.
 func tamperLog(logData []byte, tamper func([]replay.Record) bool) ([]byte, error) {
 	lines := splitLines(logData)
 	if len(lines) == 0 {
 		return logData, nil
 	}
 	recs := make([]replay.Record, 0, len(lines)-1)
+	dec := replay.NewRecordDecoder()
 	for i, line := range lines[1:] {
-		var rec replay.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := dec.Decode(line)
+		if err != nil {
 			return nil, fmt.Errorf("fuzzer: tamper: record line %d: %w", i+1, err)
 		}
 		recs = append(recs, rec)
@@ -291,18 +292,16 @@ func tamperLog(logData []byte, tamper func([]replay.Record) bool) ([]byte, error
 	if !tamper(recs) {
 		return logData, nil
 	}
-	var out bytes.Buffer
-	out.Write(lines[0])
-	out.WriteByte('\n')
-	for _, rec := range recs {
-		b, err := json.Marshal(rec)
-		if err != nil {
+	out := make([]byte, 0, len(logData))
+	out = append(append(out, lines[0]...), '\n')
+	for i := range recs {
+		var err error
+		if out, err = replay.AppendRecord(out, &recs[i]); err != nil {
 			return nil, err
 		}
-		out.Write(b)
-		out.WriteByte('\n')
+		out = append(out, '\n')
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // splitLines splits NDJSON into its non-empty lines.

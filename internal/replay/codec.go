@@ -19,10 +19,11 @@ import (
 	"politewifi/internal/radio"
 )
 
-// appendRecord appends r as json.Marshal would encode it, without the
-// trailing newline. The only failure is a NaN or infinite float, which
-// JSON cannot represent.
-func appendRecord(b []byte, r *Record) ([]byte, error) {
+// AppendRecord appends r's record line as Recorder writes it — the
+// bytes json.Marshal would write — without the trailing newline. The
+// only failure is a NaN or infinite float, which JSON cannot
+// represent.
+func AppendRecord(b []byte, r *Record) ([]byte, error) {
 	b = append(b, `{"stop":`...)
 	b = strconv.AppendInt(b, int64(r.Stop), 10)
 	var err error
@@ -200,6 +201,28 @@ func appendString(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
+}
+
+// RecordDecoder parses record lines one at a time, accepting exactly
+// the grammar Load accepts. It interns radio names across the lines it
+// decodes, so keep one per log.
+type RecordDecoder struct{ d decoder }
+
+// NewRecordDecoder returns a decoder for one log's record lines.
+func NewRecordDecoder() *RecordDecoder {
+	return &RecordDecoder{decoder{names: make(map[string]string)}}
+}
+
+// Decode parses one record line, without its newline. A malformed
+// line returns an error naming the byte offset in the line where it
+// goes wrong. Unlike Load it does not check the stop index, which
+// needs the head.
+func (rd *RecordDecoder) Decode(line []byte) (Record, error) {
+	rec, err := rd.d.record(line)
+	if err != nil {
+		return Record{}, fmt.Errorf("byte %d: %w", rd.d.errAt, err)
+	}
+	return rec, nil
 }
 
 // decoder parses record lines. The first error latches with its

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"politewifi/internal/eventsim"
@@ -216,5 +218,36 @@ func TestLoadLongLine(t *testing.T) {
 	_, stops := replay.Contents(log)
 	if got := stops[0]; len(got) != 2 || !bytes.Equal(got[0].Rec.TX.Data, data) || got[1].Rec.CCA == nil {
 		t.Fatalf("long record did not round-trip: %d records", len(got))
+	}
+}
+
+// TestRecordDecoderRoundTrip: RecordDecoder reads every record line of
+// both committed frame logs, AppendRecord writes each back to the same
+// bytes, and a line outside the grammar is refused with its offset.
+func TestRecordDecoderRoundTrip(t *testing.T) {
+	for _, name := range []string{"framelog_golden.ndjson", "framelog_faulted_golden.ndjson"} {
+		data, err := os.ReadFile("../world/testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+		dec := replay.NewRecordDecoder()
+		for i, line := range lines[1:] {
+			rec, err := dec.Decode(line)
+			if err != nil {
+				t.Fatalf("%s record %d: %v", name, i+1, err)
+			}
+			got, err := replay.AppendRecord(nil, &rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, line) {
+				t.Fatalf("%s record %d re-encodes differently:\n got %s\nwant %s", name, i+1, got, line)
+			}
+		}
+	}
+	_, err := replay.NewRecordDecoder().Decode([]byte(`{"stop": 0}`))
+	if err == nil || !strings.Contains(err.Error(), "byte 8") {
+		t.Fatalf("Decode of a spaced record: %v, want an error at byte 8", err)
 	}
 }

@@ -1,8 +1,5 @@
 package replay
 
-// AppendRecord exposes the record encoder to the external tests.
-var AppendRecord = appendRecord
-
 // Entry is a loaded record with its position in the log.
 type Entry struct {
 	Rec    Record

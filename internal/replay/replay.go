@@ -153,7 +153,7 @@ func (r *Recorder) WriteStop(sl *StopLog) {
 	buf := r.buf[:0]
 	for i := range sl.recs {
 		var err error
-		if buf, err = appendRecord(buf, &sl.recs[i]); err != nil {
+		if buf, err = AppendRecord(buf, &sl.recs[i]); err != nil {
 			r.fail(err)
 			return
 		}

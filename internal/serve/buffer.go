@@ -45,20 +45,16 @@ func (b *streamBuffer) finish() {
 	b.cond.Broadcast()
 }
 
-// reopen readies a finished tape for a resumed drive's appends.
+// reopen readies a cancelled tape for a resumed drive's appends: it
+// drops the final NDJSON line — the cancellation trailer — so the
+// resumed records append right after the last real stop record and
+// the tape converges on the uncancelled drive's bytes, and it marks
+// the tape unfinished so readers tail it. Both happen under one lock,
+// so no reader sees the trimmed tape as finished.
 func (b *streamBuffer) reopen() {
 	b.mu.Lock()
-	b.done = false
-	b.mu.Unlock()
-}
-
-// trimLastLine drops the final NDJSON line — the cancellation trailer
-// — so a resumed drive's records append right after the last real
-// stop record and the tape converges on the uncancelled drive's
-// bytes.
-func (b *streamBuffer) trimLastLine() {
-	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.done = false
 	if n := len(b.buf); n > 0 {
 		cut := n - 1 // drop the trailing \n, then scan to the previous one
 		for cut > 0 && b.buf[cut-1] != '\n' {

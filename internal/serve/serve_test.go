@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"politewifi/internal/experiments"
@@ -375,6 +376,145 @@ func TestCancelAndResume(t *testing.T) {
 	rr.Body.Close()
 	if want := experiments.Table2FromResult(wantRes).Render(); string(report) != want {
 		t.Fatal("resumed job's report differs from the uncancelled report")
+	}
+}
+
+// wedge occupies a pool worker until the returned release is called,
+// or until the test ends, so a failing test cannot leave Shutdown
+// waiting on the pool.
+func wedge(t *testing.T, s *Server) (release func()) {
+	held := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(held) }) }
+	t.Cleanup(release)
+	s.pool.Submit(func() { <-held })
+	return release
+}
+
+// cancelledJob submits spec, cancels it while its tasks are wedged
+// behind the pool so that zero stops complete, and returns its status
+// and its cancelled tape.
+func cancelledJob(t *testing.T, s *Server, ts *httptest.Server, spec jobspec.Spec) (Status, []byte) {
+	t.Helper()
+	release := wedge(t, s)
+	st := submitJob(t, ts, spec)
+	waitState(t, ts, st.ID, StateRunning)
+	postJSON(t, ts, "/api/v1/jobs/"+st.ID+"/cancel").Body.Close()
+	release()
+	st = waitState(t, ts, st.ID, StateCancelled)
+	return st, readStream(t, ts, st.ID)
+}
+
+// tapeState reads a job's tape and whether it is finished.
+func tapeState(s *Server, id string) ([]byte, bool) {
+	s.mu.Lock()
+	b := s.jobs[id].buf
+	s.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]byte(nil), b.buf...), b.done
+}
+
+// TestResumeWhileSlotBusy: a resumed job can wait in the queue while
+// another job holds the only active slot. The resume must reopen the
+// tape before it answers, so a reader that connects during that wait
+// tails the resumed drive instead of replaying the cancelled tape and
+// hitting EOF.
+func TestResumeWhileSlotBusy(t *testing.T) {
+	spec := testSpec(99)
+	_, wantStream, _ := cliReference(t, spec)
+	s, ts := startDaemon(t, Config{PoolWorkers: 1, MaxActive: 1})
+	st, cancelled := cancelledJob(t, s, ts, spec)
+
+	// A second job takes the only slot and wedges on the pool.
+	release := wedge(t, s)
+	other := submitJob(t, ts, testSpec(7))
+	waitState(t, ts, other.ID, StateRunning)
+
+	resp := postJSON(t, ts, "/api/v1/jobs/"+st.ID+"/resume")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resume: %s", resp.Status)
+	}
+	if got := getStatus(t, ts, st.ID); got.State != StateQueued {
+		t.Fatalf("resumed job is %q while the slot is busy, want %q", got.State, StateQueued)
+	}
+	tape, done := tapeState(s, st.ID)
+	if done {
+		t.Fatal("resume answered 200 with the tape still finished: a reader would replay the cancelled tape and stop")
+	}
+	if trimmed := cancelled[:bytes.LastIndexByte(cancelled[:len(cancelled)-1], '\n')+1]; !bytes.Equal(tape, trimmed) {
+		t.Fatalf("resume answered 200 with a %d-byte tape, want the %d bytes before the cancellation trailer",
+			len(tape), len(trimmed))
+	}
+
+	// A reader connecting now gets the whole resumed drive.
+	type read struct {
+		data []byte
+		err  error
+	}
+	got := make(chan read)
+	go func() {
+		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/stream")
+		if err != nil {
+			got <- read{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		got <- read{data, err}
+	}()
+	release()
+	r := <-got
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if !bytes.Equal(r.data, wantStream) {
+		t.Fatalf("stream read during the queued wait differs from the uncancelled stream (%d vs %d bytes)",
+			len(r.data), len(wantStream))
+	}
+	waitState(t, ts, other.ID, StateDone)
+}
+
+// TestResumeRefusedKeepsTape: a resume refused with 429 leaves the
+// cancelled tape exactly as it was, finished, and a later resume still
+// converges on the uncancelled stream.
+func TestResumeRefusedKeepsTape(t *testing.T) {
+	spec := testSpec(99)
+	_, wantStream, _ := cliReference(t, spec)
+	s, ts := startDaemon(t, Config{PoolWorkers: 1, MaxActive: 1, QueueDepth: 1})
+	st, cancelled := cancelledJob(t, s, ts, spec)
+
+	release := wedge(t, s)
+	running := submitJob(t, ts, testSpec(7))
+	waitState(t, ts, running.ID, StateRunning)
+	queued := submitJob(t, ts, testSpec(8)) // fills the queue
+
+	resp := postJSON(t, ts, "/api/v1/jobs/"+st.ID+"/resume")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("resume with a full queue: %s, want 429", resp.Status)
+	}
+	if tape, done := tapeState(s, st.ID); !done || !bytes.Equal(tape, cancelled) {
+		t.Fatalf("refused resume touched the tape (finished=%v, %d vs %d bytes)", done, len(tape), len(cancelled))
+	}
+	if got := readStream(t, ts, st.ID); !bytes.Equal(got, cancelled) {
+		t.Fatal("refused resume changed the served tape")
+	}
+	if got := getStatus(t, ts, st.ID); got.State != StateCancelled {
+		t.Fatalf("refused resume left the job %q, want %q", got.State, StateCancelled)
+	}
+
+	release()
+	waitState(t, ts, running.ID, StateDone)
+	waitState(t, ts, queued.ID, StateDone)
+	resp = postJSON(t, ts, "/api/v1/jobs/"+st.ID+"/resume")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second resume: %s", resp.Status)
+	}
+	if got := readStream(t, ts, st.ID); !bytes.Equal(got, wantStream) {
+		t.Fatalf("resumed tape differs from the uncancelled stream (%d vs %d bytes)", len(got), len(wantStream))
 	}
 }
 

@@ -179,12 +179,9 @@ func (s *Server) runJob(j *Job) {
 
 	default: // drive
 		if prev != nil {
-			// A resumed drive continues the tape: drop the trailer line
-			// so the next record lands where the cancelled run stopped,
-			// and prime the run so its records carry the right running
+			// A resumed drive continues the tape handleResume reopened:
+			// prime the run so its records carry the right running
 			// totals.
-			j.buf.trimLastLine()
-			j.buf.reopen()
 			cfg.StartStop = prev.StopsDone
 			cfg.ResumeTotals = prev.StreamTotals()
 		}
@@ -203,8 +200,11 @@ func (s *Server) runJob(j *Job) {
 			j.state = StateDone
 		}
 		j.finished = s.now()
-		j.mu.Unlock()
+		// Finish the tape before the state change is visible: a resume
+		// that sees StateCancelled reopens the tape, and a finish
+		// landing after that would end the resumed tape early.
 		j.buf.finish()
+		j.mu.Unlock()
 	}
 }
 
@@ -357,13 +357,18 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "job %s is %s; only cancelled jobs resume", j.ID, st)
 		return
 	}
-	// Arm a fresh cancel signal for the resumed leg and requeue. The
-	// tape is trimmed by the scheduler right before the leg runs.
+	// Arm a fresh cancel signal for the resumed leg and requeue.
 	j.cancel = make(chan struct{})
 	j.cancelOnce = new(sync.Once)
 	j.state = StateQueued
 	select {
 	case s.queue <- j:
+		// Reopen the tape before answering, so a reader that connects
+		// while the leg waits for an active slot tails the resumed
+		// drive instead of replaying the cancelled tape to EOF.
+		// runJob cannot start the leg before j.mu is released, so the
+		// tape is ready by then.
+		j.buf.reopen()
 		j.mu.Unlock()
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, j.status())
