@@ -98,7 +98,8 @@ func (s Series) MeanRate() float64 {
 
 // Scene is the physical environment between the attacker (Tx, which
 // receives the ACKs — radio channels are reciprocal) and the victim
-// device.
+// device. Measure keeps scratch and a cache on the Scene, so a Scene
+// must not be copied after its first Measure.
 type Scene struct {
 	// Attacker is the sensing radio's position.
 	Attacker Vec3
@@ -228,9 +229,8 @@ func (sc *Scene) staticSum(dev Vec3) *[phy.NumSubcarriers]complex128 {
 // with the line-of-sight path, one path per wall scatterer, and one
 // per body scatterer; amplitudes follow 1/d spreading with a
 // reflectivity factor for bounced paths. The body paths are added
-// onto the static paths' cached sum, in the same order as the static
-// paths were, so the result is bit-identical to summing every path
-// afresh.
+// onto the cached sum of the static paths, after them as always, so
+// the result is bit-identical to summing every path afresh.
 func (sc *Scene) Measure(t float64, st State) Sample {
 	dev := sc.DeviceRest.Add(st.DeviceOffset)
 	static := sc.staticSum(dev)

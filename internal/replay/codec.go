@@ -215,8 +215,9 @@ func NewRecordDecoder() *RecordDecoder {
 
 // Decode parses one record line, without its newline. A malformed
 // line returns an error naming the byte offset in the line where it
-// goes wrong. Unlike Load it does not check the stop index, which
-// needs the head.
+// goes wrong. Only the grammar is checked: Load's checks that the
+// stop index is in the head's range and that the record carries
+// exactly one of tx/cca are left to the caller.
 func (rd *RecordDecoder) Decode(line []byte) (Record, error) {
 	rec, err := rd.d.record(line)
 	if err != nil {
